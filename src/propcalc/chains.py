@@ -8,7 +8,13 @@ A formal sum is a frozenset of types; addition is symmetric difference.
 The action on chains of a standard simplex splits each input face into
 consecutive overlapping pieces (the iterated diagonal), routes the pieces
 by the assignment, and joins each output's pieces into the face spanned
-by their union, zero whenever two pieces share a vertex.
+by their union, zero whenever two pieces share a vertex (the interval-cut
+formulas of McClure-Smith).  `act_type` enumerates the cut points by
+backtracking and abandons a partial placement at the first shared vertex,
+so the overlapping combinations are never built.  `cup_i` computes the
+cut pattern of the cup-i cell once per call, on (0, ..., n), and relabels
+it through each n-simplex (following Medina-Mardones' treatment of cup-i
+products as index patterns on a simplex).
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import itemgetter
 
 from .errors import CompositionError, GraphError, InternalError
 from .graphs import (GraphTerm, Permutation, require_valid, sources_by_target,
                      targets_by_source)
-from .surjections import (SurjType, WeightedSurjection, expand_graph, normalize,
-                          uniform_weights)
+from .surjections import SurjType, expand_graph, normalize, uniform_weights
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,7 @@ def differential_via_graphs(t: SurjType) -> ChainElement:
     vertex by each of its two attaching endpoints, normalize every summand
     and keep the ones of the expected dimension, mod 2.
     """
-    ws = uniform_weights(t) if not any(not b for b in t.blocks) else _padded_weights(t)
-    g = expand_graph(ws)
+    g = expand_graph(uniform_weights(t))
     result = ChainElement.zero(t.n, t.m, t.degree - 1)
     for v, vert in enumerate(g.vertices):
         if vert.kind != "mu":
@@ -145,10 +150,6 @@ def differential_via_graphs(t: SurjType) -> ChainElement:
             if y.degree == t.degree - 1:
                 result = result + ChainElement.of(y.stype)
     return result
-
-
-def _padded_weights(t: SurjType) -> WeightedSurjection:
-    return uniform_weights(t)
 
 
 # ---------------------------------------------------------------------------
@@ -323,44 +324,84 @@ def splittings(face, r):
         yield tuple(pieces)
 
 
-def join_faces(pieces):
-    """Face spanned by disjoint pieces; None if any vertex repeats."""
-    seen = []
-    for p in pieces:
-        seen.extend(p)
-    if len(set(seen)) != len(seen):
-        return None
-    return tuple(sorted(seen))
-
-
 def act_type(t: SurjType, faces) -> frozenset:
     """Apply one basis cell to a tuple of faces; result is a set of
-    m-tuples of faces (the F2 sum)."""
+    m-tuples of faces (the F2 sum).
+
+    This is the interval-cut description of the action.  Cut points are
+    placed block by block, and each output keeps the vertex set of the
+    pieces routed to it so far, as a bitmask.  A piece stops growing as
+    soon as it repeats a vertex or meets its output's set: every longer
+    piece overlaps too, so that branch contributes zero.  The last piece of
+    a block is forced (it runs to the end of the face) and is checked in
+    one step.  Each complete placement adds its tuple of sorted unions
+    mod 2.
+    """
     if len(faces) != t.n:
         raise GraphError(f"expected {t.n} tensor factors, got {len(faces)}")
-    options = []
+    labels = sorted({v for face in faces for v in face})
+    bit = {v: 1 << j for j, v in enumerate(labels)}
+    masks = [0] * t.m
+    # every piece but the last of its block, as (output, vertex bits of its
+    # face, tails, output of the next piece, whether that one ends the block)
+    pieces = []
     for blk, face in zip(t.blocks, faces):
         if not blk:
             if len(face) != 1:
                 return frozenset()  # counit kills positive-degree factors
-            options.append([()])
-        else:
-            options.append(list(splittings(face, len(blk))))
-    out = set()
-    for combo in product(*options):
-        per_out = [[] for _ in range(t.m)]
-        for blk, pieces in zip(t.blocks, combo):
-            for f, piece in zip(blk, pieces):
-                per_out[f - 1].append(piece)
-        outs = []
-        for lst in per_out:
-            j = join_faces(lst)
-            if j is None:
+            continue
+        bits = [bit[v] for v in face]
+        tails = [None] * len(bits) + [0]  # tails[e]: bits of face[e:], None on a repeat
+        acc = 0
+        for e in range(len(bits) - 1, -1, -1):
+            if acc & bits[e]:
                 break
-            outs.append(j)
-        else:
-            out ^= {tuple(outs)}
-    return frozenset(out)
+            acc |= bits[e]
+            tails[e] = acc
+        if len(blk) == 1:  # the whole face goes to one output
+            o = blk[0] - 1
+            if tails[0] is None or masks[o] & tails[0]:
+                return frozenset()
+            masks[o] |= tails[0]
+            continue
+        for u in range(len(blk) - 1):
+            pieces.append((blk[u] - 1, bits, tails, blk[u + 1] - 1, u == len(blk) - 2))
+    found = set()
+    total = len(pieces)
+
+    def place(i, start):
+        o, bits, tails, o2, closes = pieces[i]
+        old = acc = masks[o]
+        for e in range(start, len(bits)):
+            b = bits[e]
+            if acc & b:
+                break
+            acc |= b
+            masks[o] = acc
+            m2 = masks[o2]
+            if not closes:
+                if not m2 & b:  # the next piece starts at e
+                    place(i + 1, e)
+                continue
+            tail = tails[e]
+            if tail is None or m2 & tail:
+                continue
+            masks[o2] = m2 | tail
+            if i + 1 < total:
+                place(i + 1, 0)
+            else:  # a complete placement, added mod 2
+                found.symmetric_difference_update((tuple(masks),))
+            masks[o2] = m2
+        masks[o] = old
+
+    if pieces:
+        place(0, 0)
+    else:
+        found.add(tuple(masks))
+    pairs = tuple(zip(labels, bit.values()))
+    spans = {mask: tuple(v for v, b in pairs if mask & b)
+             for mask in {mask for key in found for mask in key}}
+    return frozenset(tuple(map(spans.__getitem__, key)) for key in found)
 
 
 def act(x: ChainElement, tensors) -> frozenset:
@@ -412,16 +453,28 @@ def cup_i(i: int, a: frozenset, b: frozenset, complex_) -> frozenset:
     deg = pa + pb - i
     if deg < 0:
         return frozenset()
-    t = cup_type(i)
+    # every simplex is a sorted tuple of distinct vertices, so the action on
+    # it is the action on (0..deg) relabelled through the simplex
+    pattern = [(_picker(f1), _picker(f2))
+               for f1, f2 in act_type(cup_type(i), (tuple(range(deg + 1)),))
+               if len(f1) == pa + 1]
     result = set()
     for sigma in complex_.simplices(deg):
         count = 0
-        for f1, f2 in act_type(t, (sigma,)):
-            if len(f1) == pa + 1 and f1 in a and f2 in b:
+        for f1, f2 in pattern:
+            if f1(sigma) in a and f2(sigma) in b:
                 count ^= 1
         if count:
             result.add(sigma)
     return frozenset(result)
+
+
+def _picker(positions):
+    """The face of a simplex at these vertex positions, as a function."""
+    if len(positions) == 1:
+        j = positions[0]
+        return lambda sigma: (sigma[j],)
+    return itemgetter(*positions)
 
 
 def _cochain_dim(a):

@@ -84,14 +84,42 @@ def build_parser():
     return ap
 
 
-def _faces_from_file(path):
-    with open(path) as fh:
-        return complexes.cochain_from_text(fh.read())
+def _read(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PropcalcError(f"cannot read {path}: "
+                            f"{getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _complex_from_file(path):
-    with open(path) as fh:
-        return complexes.SimplicialComplex.from_text(fh.read())
+    return complexes.SimplicialComplex.from_text(_read(path))
+
+
+def _cochain_from_file(path, complex_):
+    """A cochain file whose faces must all be simplices of the complex."""
+    cochain = complexes.cochain_from_text(_read(path))
+    for face in cochain:
+        if face not in complex_:
+            raise PropcalcError(f"{path}: face {' '.join(map(str, face))} "
+                                f"is not a simplex of the complex")
+    return cochain
+
+
+def _face(text):
+    """A face given as comma-separated, nonnegative, strictly increasing vertices."""
+    if not text.strip():
+        raise PropcalcError("empty face")
+    try:
+        face = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise PropcalcError(f"face {text!r}: vertices must be integers") from None
+    if face[0] < 0:
+        raise PropcalcError(f"face {text!r}: vertices must be nonnegative")
+    if any(u >= v for u, v in zip(face, face[1:])):
+        raise PropcalcError(f"face {text!r}: vertices must be strictly increasing")
+    return face
 
 
 def run(argv=None) -> int:
@@ -150,7 +178,7 @@ def _dispatch(args) -> int:
     if cmd == "act":
         g = parse_term(args.term)
         x = chains.chain_eval(g)
-        faces = tuple(tuple(int(v) for v in f.split(",")) for f in args.face)
+        faces = tuple(_face(text) for text in args.face)
         result = chains.act(x, [faces])
         if not result:
             print("0")
@@ -163,15 +191,15 @@ def _dispatch(args) -> int:
 
     if cmd == "cup":
         K = _complex_from_file(args.complex)
-        a = _faces_from_file(args.a)
-        b = _faces_from_file(args.b)
+        a = _cochain_from_file(args.a, K)
+        b = _cochain_from_file(args.b, K)
         result = chains.cup_i(args.i, a, b, K)
         print(complexes.cochain_to_text(result) if result else "0")
         return 0
 
     if cmd == "sq":
         K = _complex_from_file(args.complex)
-        x = _faces_from_file(args.cocycle)
+        x = _cochain_from_file(args.cocycle, K)
         result = chains.steenrod_square(args.k, x, K)
         print(complexes.cochain_to_text(result) if result else "0")
         return 0

@@ -53,7 +53,10 @@ class SimplicialComplex:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            faces.append(tuple(int(tok) for tok in line.split()))
+            try:
+                faces.append(tuple(int(tok) for tok in line.split()))
+            except ValueError:
+                raise GraphError(f"vertices must be integers: {line!r}") from None
         if not faces:
             raise GraphError("no faces in complex description")
         return cls(faces)
@@ -70,7 +73,10 @@ def cochain_from_text(text) -> frozenset:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        faces.add(tuple(sorted(int(tok) for tok in line.split())))
+        try:
+            faces.add(tuple(sorted(int(tok) for tok in line.split())))
+        except ValueError:
+            raise GraphError(f"vertices must be integers: {line!r}") from None
     return frozenset(faces)
 
 

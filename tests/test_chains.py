@@ -1,15 +1,16 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from propcalc.chains import (ChainElement, act, act_type, chain_compose,
                              chain_eval, chains_S_check, compose_types,
-                             cup_type, delta_type, differential,
+                             cup_i, cup_type, delta_type, differential,
                              differential_via_graphs, diff_type, eps_type,
                              face_boundary, horizontal_chain, identity_type,
                              mu_type, permute_inputs_chain, permute_outputs_chain,
                              splittings, tensor_boundary)
+from propcalc.complexes import SimplicialComplex, circle, rp2
 from propcalc.errors import GraphError
 from propcalc.graphs import Permutation
 from propcalc.surjections import SurjType, enumerate_basis, random_stype
@@ -231,3 +232,128 @@ def test_splittings_count():
     assert len(list(splittings((0, 1, 2), 2))) == 3
     assert len(list(splittings((0, 1), 3))) == 3
     assert list(splittings((0,), 1)) == [((0,),)]
+
+
+# --- the interval-cut enumerator against brute force -------------------------
+
+def brute_force_act(t, faces):
+    """Every product of splittings, joined afterwards; zero on any overlap."""
+    options = []
+    for blk, face in zip(t.blocks, faces):
+        if not blk:
+            if len(face) != 1:
+                return frozenset()
+            options.append([()])
+        else:
+            options.append(list(splittings(face, len(blk))))
+    out = set()
+    for combo in product(*options):
+        per_out = [[] for _ in range(t.m)]
+        for blk, pieces in zip(t.blocks, combo):
+            for f, piece in zip(blk, pieces):
+                per_out[f - 1].append(piece)
+        outs = []
+        for pieces in per_out:
+            seen = [v for piece in pieces for v in piece]
+            if len(set(seen)) != len(seen):
+                break
+            outs.append(tuple(sorted(seen)))
+        else:
+            out ^= {tuple(outs)}
+    return frozenset(out)
+
+
+def test_act_matches_brute_force_on_every_face_of_the_5_simplex():
+    checked = 0
+    for m in (1, 2, 3):
+        for k in range(4):
+            for t in enumerate_basis(1, m, k):
+                for f in faces_of(5):
+                    assert act_type(t, (f,)) == brute_force_act(t, (f,)), (t, f)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_act_matches_brute_force_on_face_pairs():
+    checked = 0
+    for m in (1, 2):
+        for k in range(3):
+            for t in enumerate_basis(2, m, k):
+                for f in faces_of(3):
+                    for g in faces_of(3):
+                        faces = (f, g)
+                        assert act_type(t, faces) == brute_force_act(t, faces), (t, faces)
+                        checked += 1
+                    # the same face in both factors, as the chain-map checks use it
+                    assert act_type(t, (f, f)) == brute_force_act(t, (f, f)), (t, f)
+    assert checked > 5000
+
+
+ODD_FACES = [(2, 0, 0), (3, 1), (1, 1), (0, 2, 1), (5,), (4, 4, 4), (2, 7, 2),
+             (-3, 0, 6), ()]
+
+
+def test_act_matches_brute_force_on_repeated_and_unsorted_labels():
+    types = [t for m in (1, 2, 3) for k in range(3) for t in enumerate_basis(1, m, k)]
+    for t in types:
+        for f in ODD_FACES:
+            assert act_type(t, (f,)) == brute_force_act(t, (f,)), (t, f)
+    rng = random.Random(57)
+    pool = ODD_FACES + faces_of(3)
+    for t in [t for m in (1, 2) for k in range(3) for t in enumerate_basis(2, m, k)]:
+        for _ in range(20):
+            faces = (rng.choice(pool), rng.choice(pool))
+            assert act_type(t, faces) == brute_force_act(t, faces), (t, faces)
+
+
+def test_act_matches_brute_force_with_counit_blocks():
+    capped = [eps_type(), SurjType(2, 1, ((), (1,))), SurjType(2, 1, ((1,), ())),
+              SurjType(2, 2, ((1, 2), ())), SurjType(3, 2, ((1,), (), (2, 1))),
+              SurjType(3, 3, ((1, 2, 3), (), (3, 1)))]
+    pool = ODD_FACES + faces_of(2)
+    for t in capped:
+        for faces in product(pool, repeat=t.n):
+            assert act_type(t, faces) == brute_force_act(t, faces), (t, faces)
+
+
+def brute_force_cup(i, a, b, complex_):
+    """cup_i by one brute-force action per simplex."""
+    pa = len(next(iter(a))) - 1
+    deg = pa + len(next(iter(b))) - 1 - i
+    result = set()
+    for sigma in complex_.simplices(deg):
+        count = 0
+        for f1, f2 in brute_force_act(cup_type(i), (sigma,)):
+            if len(f1) == pa + 1 and f1 in a and f2 in b:
+                count ^= 1
+        if count:
+            result.add(sigma)
+    return frozenset(result)
+
+
+def random_cochain(rng, complex_, q):
+    faces = complex_.simplices(q)
+    while True:
+        x = frozenset(f for f in faces if rng.random() < 0.5)
+        if x:
+            return x
+
+
+@pytest.mark.parametrize("make", [rp2, lambda: circle(4),
+                                  lambda: SimplicialComplex.standard_simplex(5)],
+                         ids=["rp2", "circle4", "simplex5"])
+def test_cup_i_matches_the_per_simplex_brute_force(make):
+    complex_ = make()
+    rng = random.Random(58)
+    checked = 0
+    for i in range(4):
+        for pa in range(complex_.dim + 1):
+            for pb in range(complex_.dim + 1):
+                if not 0 <= pa + pb - i <= complex_.dim:
+                    continue
+                for _ in range(3):
+                    a = random_cochain(rng, complex_, pa)
+                    b = random_cochain(rng, complex_, pb)
+                    assert cup_i(i, a, b, complex_) == brute_force_cup(i, a, b, complex_)
+                    checked += 1
+    assert checked >= 12

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from propcalc.cli import run
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -99,3 +101,46 @@ def test_normalize_idempotent_under_reparsing(capsys):
     run(["normalize", "delta ; (delta | id)"])
     out1 = capsys.readouterr().out.strip()
     assert out1 == "surj n=1 m=3 : 1/1 2/1 3/1"
+
+
+# --- bad input ends at exit code 1 --------------------------------------------
+
+@pytest.mark.parametrize("face", ["", ",", "0,a", "-1,2", "2,0,0", "0,0,1", "1,0"],
+                         ids=["empty", "comma", "non-integer", "negative",
+                              "unsorted-repeated", "repeated", "unsorted"])
+def test_act_rejects_bad_faces(capsys, face):
+    assert run(["act", "--term", "delta", "--face=" + face]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _sq(cocycle, complex_=os.path.join(DATA, "rp2.sc")):
+    return run(["sq", "--k", "0", "--complex", complex_, "--cocycle", cocycle])
+
+
+def test_missing_files_exit_1(capsys, tmp_path):
+    missing = str(tmp_path / "missing.cc")
+    assert _sq(missing) == 1
+    assert _sq(os.path.join(DATA, "rp2_h1.cc"), complex_=missing) == 1
+    assert run(["cup", "--i", "1", "--complex", os.path.join(DATA, "rp2.sc"),
+                "--a", os.path.join(DATA, "rp2_h1.cc"), "--b", missing]) == 1
+    assert _sq(str(tmp_path)) == 1  # a directory cannot be read
+    assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_non_integer_tokens_in_files_exit_1(capsys, tmp_path):
+    bad_cc = tmp_path / "bad.cc"
+    bad_cc.write_text("1 2\n2 x\n")
+    assert _sq(str(bad_cc)) == 1
+    bad_sc = tmp_path / "bad.sc"
+    bad_sc.write_text("1 2 3\n1 q 4\n")
+    assert _sq(os.path.join(DATA, "rp2_h1.cc"), complex_=str(bad_sc)) == 1
+    assert capsys.readouterr().err.count("must be integers") == 2
+
+
+def test_cochain_face_outside_the_complex_exit_1(capsys, tmp_path):
+    stray = tmp_path / "stray.cc"
+    stray.write_text("1 9\n")
+    assert _sq(str(stray)) == 1
+    assert "1 9 is not a simplex" in capsys.readouterr().err
+    assert run(["cup", "--i", "0", "--complex", os.path.join(DATA, "rp2.sc"),
+                "--a", os.path.join(DATA, "rp2_h1.cc"), "--b", str(stray)]) == 1
