@@ -25,8 +25,8 @@ from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import CompositionError, GraphError, InternalError
-from .graphs import (GraphTerm, Permutation, require_valid, sources_by_target,
-                     targets_by_source)
+from .graphs import (GraphTerm, Permutation, require_valid, targets_by_source,
+                     topological_order)
 from .surjections import SurjType, expand_graph, normalize, uniform_weights
 
 
@@ -257,7 +257,7 @@ def permute_inputs_chain(x: ChainElement, sigma: Permutation) -> ChainElement:
 
 
 _GEN_TYPES = {"eps": eps_type, "delta": delta_type, "mu": mu_type}
-_GEN_DEGREE = {"eps": 0, "delta": 0, "mu": 1, "phi": 1}
+_GEN_DEGREE = {"eps": 0, "delta": 0, "mu": 1, "phi": 1, "id": 0}
 
 
 def chain_eval(g: GraphTerm) -> ChainElement:
@@ -265,7 +265,6 @@ def chain_eval(g: GraphTerm) -> ChainElement:
     contributes its whole generating cell, and the counit homotopy is sent
     to zero (its image cell is degenerate)."""
     require_valid(g)
-    by_target = sources_by_target(g)
     by_source = targets_by_source(g)
     degree = sum(_GEN_DEGREE[v.kind] for v in g.vertices)
     if any(v.kind == "phi" for v in g.vertices):
@@ -273,19 +272,9 @@ def chain_eval(g: GraphTerm) -> ChainElement:
 
     wires = [by_source[("in", i)] for i in range(g.n)]  # edge ids = dst endpoints
     state = ChainElement.of(identity_type(g.n))
-    done = set()
-    while len(done) < len(g.vertices):
-        ready = None
-        for v, vert in enumerate(g.vertices):
-            if v in done:
-                continue
-            ins = [("vi", v, k) for k in range(vert.arity[0])]
-            if all(ep in wires for ep in ins):
-                ready = (v, vert, ins)
-                break
-        if ready is None:
-            raise InternalError("cannot sequentialize term")
-        v, vert, ins = ready
+    for v in topological_order(g):
+        vert = g.vertices[v]
+        ins = [("vi", v, k) for k in range(vert.arity[0])]
         others = [wb for wb in wires if wb not in ins]
         first = min(wires.index(ep) for ep in ins)
         cut = sum(1 for wb in wires[:first] if wb not in ins)
@@ -302,7 +291,6 @@ def chain_eval(g: GraphTerm) -> ChainElement:
         state = chain_compose(state, layer)
         outs = [by_source[("vo", v, k)] for k in range(vert.arity[1])]
         wires = new_wires[:cut] + outs + new_wires[cut + len(ins):]
-        done.add(v)
 
     tau = Permutation(tuple(dst[1] + 1 for dst in wires))
     return permute_outputs_chain(state, tau)

@@ -14,7 +14,7 @@ import sys
 
 from . import chains, complexes, graphs, surfaces, verify
 from .errors import InternalError, PropcalcError
-from .simplex import SimplexPoint, eval_term, parse_point
+from .simplex import eval_term, parse_point
 from .surjections import WeightedSurjection, compose_weighted, normalize
 from .terms import parse as parse_term
 
@@ -29,8 +29,6 @@ def build_parser():
                                  description="calculator for finitely presented "
                                              "E-infinity props")
     ap.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    ap.add_argument("--tolerance", type=float, default=None,
-                    help="comparison tolerance (float mode only)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a term, validate, print it")
@@ -122,6 +120,19 @@ def _face(text):
     return face
 
 
+def _criteria(text):
+    """Criterion numbers given as comma-separated integers, each naming a suite."""
+    try:
+        only = {int(tok) for tok in text.split(",")}
+    except ValueError:
+        raise PropcalcError(f"--only {text!r}: criterion numbers must be integers") from None
+    unknown = sorted(only - set(range(1, len(verify.SUITES) + 1)))
+    if unknown:
+        raise PropcalcError(f"--only {text!r}: no criterion {unknown[0]}; "
+                            f"criteria run from 1 to {len(verify.SUITES)}")
+    return only
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -168,9 +179,6 @@ def _dispatch(args) -> int:
     if cmd == "eval":
         g = parse_term(args.term)
         points = tuple(parse_point(text) for text in args.point)
-        if args.tolerance is not None:  # float mode
-            points = tuple(SimplexPoint(tuple(float(x) for x in p.coords))
-                           for p in points)
         outs = eval_term(g, points, d=args.d)
         print(", ".join(str(p) for p in outs))
         return 0
@@ -222,9 +230,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "verify":
-        only = None
-        if args.only:
-            only = {int(tok) for tok in args.only.split(",")}
+        only = _criteria(args.only) if args.only else None
         results = verify.run_all(seed=args.seed, only=only)
         return 0 if all(r.passed for r in results) else 2
 

@@ -108,25 +108,6 @@ def is_cocycle(complex_: SimplicialComplex, cochain: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on integer bitmasks
 
-def gf2_eliminate(rows):
-    """Row-reduce bitmask rows; returns (pivots, reduced rows)."""
-    reduced = []
-    pivots = []
-    for row in rows:
-        for p, r in zip(pivots, reduced):
-            if row >> p & 1:
-                row ^= r
-        if row:
-            p = row.bit_length() - 1
-            pivots.append(p)
-            reduced.append(row)
-    return pivots, reduced
-
-
-def gf2_rank(rows):
-    return len(gf2_eliminate(rows)[0])
-
-
 def _rref(rows, keep_bits=None):
     """Reduced row echelon form; returns (pivot columns, reduced rows).
 
@@ -233,8 +214,8 @@ def _image_rank(complex_, q):
     """Rank of the coboundary map from q-cochains to (q+1)-cochains."""
     if not complex_.simplices(q) or not complex_.simplices(q + 1):
         return 0
-    rows, qs = _coboundary_rows(complex_, q)
-    return gf2_rank(rows)
+    rows, _ = _coboundary_rows(complex_, q)
+    return len(_rref(rows)[0])
 
 
 def cohomology_dim(complex_, q) -> int:

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GraphError, WeightingError
-from .graphs import (GraphTerm, Vertex, horizontal_compose, require_valid,
-                     sources_by_target, targets_by_source, unit, vertical_compose)
+from .graphs import (GraphTerm, Vertex, Wiring, horizontal_compose, require_valid,
+                     sources_by_target, targets_by_source, topological_order, unit,
+                     vertical_compose)
 
 # prop tags selecting which relation set applies
 S_TILDE = "stilde"
@@ -62,43 +63,6 @@ def term_degree(g: GraphTerm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mutable surgery helpers (vertex identity stays stable during rewrites)
-
-def _to_mutable(g: GraphTerm):
-    verts = {v: vert for v, vert in enumerate(g.vertices)}
-    edges = set(g.edges)
-    return verts, edges
-
-
-def _from_mutable(n, m, verts, edges) -> GraphTerm:
-    order = sorted(verts)
-    index = {v: i for i, v in enumerate(order)}
-
-    def ren(ep):
-        if ep[0] in ("vi", "vo"):
-            return (ep[0], index[ep[1]], ep[2])
-        return ep
-
-    g = GraphTerm(n, m, tuple(verts[v] for v in order),
-                  frozenset((ren(s), ren(d)) for s, d in edges))
-    return require_valid(g)
-
-
-def _src_of(edges, dst):
-    for s, d in edges:
-        if d == dst:
-            return s
-    raise GraphError(f"no edge into {dst}")
-
-
-def _dst_of(edges, src):
-    for s, d in edges:
-        if s == src:
-            return d
-    raise GraphError(f"no edge out of {src}")
-
-
-# ---------------------------------------------------------------------------
 # attaching maps
 
 def apply_attaching(g: GraphTerm, tag: str = S_TILDE) -> GraphTerm:
@@ -106,56 +70,33 @@ def apply_attaching(g: GraphTerm, tag: str = S_TILDE) -> GraphTerm:
 
     mu at 0 -> counit on input 1, strand from input 2; mu at 1 the mirror.
     phi at 0 -> plain strand; phi at 1 -> delta with counit on output 1.
-    Runs until no boundary parameter remains.
+    Boundary graphs contain no parametrized vertex, so one pass in vertex
+    order replaces them all.
     """
     check_tag(g, tag)
     require_valid(g)
-    verts, edges = _to_mutable(g)
-    fresh = len(g.vertices)
-    while True:
-        target = None
-        for v in sorted(verts):
-            vert = verts[v]
-            if vert.kind in ("mu", "phi") and vert.params[0] in (0, 1):
-                target = v
-                break
-        if target is None:
-            break
-        v = target
-        vert = verts[v]
+    work = Wiring.from_term(g)
+    for v, vert in enumerate(g.vertices):
+        if vert.kind not in ("mu", "phi") or vert.params[0] not in (0, 1):
+            continue
         s = vert.params[0]
+        srcs = [work.del_edge(("vi", v, k))[0] for k in range(vert.arity[0])]
+        dst = work.tgt[("vo", v, 0)]
+        work.del_edge(dst)
+        work.del_vertex(v)
         if vert.kind == "mu":
-            src1 = _src_of(edges, ("vi", v, 0))
-            src2 = _src_of(edges, ("vi", v, 1))
-            dst = _dst_of(edges, ("vo", v, 0))
-            edges -= {(src1, ("vi", v, 0)), (src2, ("vi", v, 1)), (("vo", v, 0), dst)}
-            del verts[v]
-            e = fresh
-            fresh += 1
-            verts[e] = Vertex("eps")
-            if s == 0:
-                edges.add((src1, ("vi", e, 0)))
-                edges.add((src2, dst))
-            else:
-                edges.add((src2, ("vi", e, 0)))
-                edges.add((src1, dst))
-        else:  # phi
-            src = _src_of(edges, ("vi", v, 0))
-            dst = _dst_of(edges, ("vo", v, 0))
-            edges -= {(src, ("vi", v, 0)), (("vo", v, 0), dst)}
-            del verts[v]
-            if s == 0:
-                edges.add((src, dst))
-            else:
-                d = fresh
-                e = fresh + 1
-                fresh += 2
-                verts[d] = Vertex("delta")
-                verts[e] = Vertex("eps")
-                edges.add((src, ("vi", d, 0)))
-                edges.add((("vo", d, 0), ("vi", e, 0)))
-                edges.add((("vo", d, 1), dst))
-    return _from_mutable(g.n, g.m, verts, edges)
+            killed, kept = srcs if s == 0 else reversed(srcs)
+            work.add_edge(killed, ("vi", work.new_vertex("eps"), 0))
+            work.add_edge(kept, dst)
+        elif s == 0:
+            work.add_edge(srcs[0], dst)
+        else:
+            d = work.new_vertex("delta")
+            e = work.new_vertex("eps")
+            work.add_edge(srcs[0], ("vi", d, 0))
+            work.add_edge(("vo", d, 0), ("vi", e, 0))
+            work.add_edge(("vo", d, 1), dst)
+    return work.to_term()
 
 
 # ---------------------------------------------------------------------------
@@ -173,85 +114,60 @@ def apply_relations_S(g: GraphTerm, tag: str = S) -> GraphTerm:
     """
     check_tag(g, tag)
     require_valid(g)
-    verts, edges = _to_mutable(g)
-    fresh = len(g.vertices)
+    work = Wiring.from_term(g)
+    kind = work.kind
 
-    def vertex_of(ep):
-        if ep[0] == "vi":
-            return ep[1]
+    def cap(v, k):
+        """The counit on output slot k of v, or None."""
+        d = work.tgt[("vo", v, k)]
+        return d[1] if d[0] == "vi" and kind[d[1]] == "eps" else None
+
+    def redex(v):
+        if kind[v] == "mu" or (kind[v] == "phi" and tag == S_TILDE):
+            w = cap(v, 0)
+            return None if w is None else (kind[v] + "-eps", v, w)
+        if kind[v] == "delta":
+            w0, w1 = cap(v, 0), cap(v, 1)
+            if tag != S_TILDE:
+                if w0 is not None:
+                    return ("delta-eps", v, w0, 1)
+                if w1 is not None:
+                    return ("delta-eps", v, w1, 0)
+            elif w0 is not None and w1 is not None:
+                return ("delta-eps-eps", v, w0, w1)
         return None
 
     while True:
-        redex = None
-        for v in sorted(verts):
-            kind = verts[v].kind
-            if kind == "mu":
-                w = vertex_of(_dst_of(edges, ("vo", v, 0)))
-                if w is not None and verts[w].kind == "eps":
-                    redex = ("mu-eps", v, w)
-                    break
-            elif kind == "delta":
-                w0 = vertex_of(_dst_of(edges, ("vo", v, 0)))
-                w1 = vertex_of(_dst_of(edges, ("vo", v, 1)))
-                e0 = w0 is not None and verts[w0].kind == "eps"
-                e1 = w1 is not None and verts[w1].kind == "eps"
-                if tag in (S, MS):
-                    if e0:
-                        redex = ("delta-eps", v, w0, 1)
-                        break
-                    if e1:
-                        redex = ("delta-eps", v, w1, 0)
-                        break
-                else:
-                    if e0 and e1:
-                        redex = ("delta-eps-eps", v, w0, w1)
-                        break
-            elif kind == "phi" and tag == S_TILDE:
-                w = vertex_of(_dst_of(edges, ("vo", v, 0)))
-                if w is not None and verts[w].kind == "eps":
-                    redex = ("phi-eps", v, w)
-                    break
-        if redex is None:
-            break
-
-        if redex[0] == "mu-eps":
-            _, v, w = redex
-            src1 = _src_of(edges, ("vi", v, 0))
-            src2 = _src_of(edges, ("vi", v, 1))
-            edges -= {(src1, ("vi", v, 0)), (src2, ("vi", v, 1)),
-                      (("vo", v, 0), ("vi", w, 0))}
-            del verts[v], verts[w]
-            for src in (src1, src2):
-                e = fresh
-                fresh += 1
-                verts[e] = Vertex("eps")
-                edges.add((src, ("vi", e, 0)))
-        elif redex[0] == "delta-eps":
-            _, v, w, keep = redex
-            src = _src_of(edges, ("vi", v, 0))
-            dst = _dst_of(edges, ("vo", v, keep))
-            edges -= {(src, ("vi", v, 0)),
-                      (("vo", v, 0), _dst_of(edges, ("vo", v, 0))),
-                      (("vo", v, 1), _dst_of(edges, ("vo", v, 1)))}
-            del verts[v], verts[w]
-            edges.add((src, dst))
-        elif redex[0] == "delta-eps-eps":
-            _, v, w0, w1 = redex
-            src = _src_of(edges, ("vi", v, 0))
-            edges -= {(src, ("vi", v, 0)),
-                      (("vo", v, 0), ("vi", w0, 0)), (("vo", v, 1), ("vi", w1, 0))}
-            del verts[v], verts[w0], verts[w1]
-            e = fresh
-            fresh += 1
-            verts[e] = Vertex("eps")
-            edges.add((src, ("vi", e, 0)))
+        found = next(filter(None, map(redex, sorted(kind))), None)
+        if found is None:
+            return work.to_term()
+        rule, v, *caps = found
+        src, _ = work.del_edge(("vi", v, 0))
+        if rule == "mu-eps":
+            src2, _ = work.del_edge(("vi", v, 1))
+            work.del_edge(("vi", caps[0], 0))
+            work.del_vertex(v)
+            work.del_vertex(caps[0])
+            for s in (src, src2):
+                work.add_edge(s, ("vi", work.new_vertex("eps"), 0))
+        elif rule == "delta-eps":
+            w, keep = caps
+            dst = work.tgt[("vo", v, keep)]
+            work.del_edge(dst)
+            work.del_edge(("vi", w, 0))
+            work.del_vertex(v)
+            work.del_vertex(w)
+            work.add_edge(src, dst)
+        elif rule == "delta-eps-eps":
+            for w in caps:
+                work.del_edge(("vi", w, 0))
+                work.del_vertex(w)
+            work.del_vertex(v)
+            work.add_edge(src, ("vi", work.new_vertex("eps"), 0))
         else:  # phi-eps
-            _, v, w = redex
-            src = _src_of(edges, ("vi", v, 0))
-            edges -= {(src, ("vi", v, 0)), (("vo", v, 0), ("vi", w, 0))}
-            del verts[v]
-            edges.add((src, ("vi", w, 0)))
-    return _from_mutable(g.n, g.m, verts, edges)
+            work.del_edge(("vi", caps[0], 0))
+            work.del_vertex(v)
+            work.add_edge(src, ("vi", caps[0], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +228,7 @@ def to_edge_weights(g: GraphTerm) -> EdgeWeighting:
         raise GraphError("edge weights are defined on the counital presentation only")
     by_source = targets_by_source(g)
     by_target = sources_by_target(g)
-
-    # topological order of vertices
-    order = []
-    placed = set()
-    while len(placed) < len(g.vertices):
-        for v in range(len(g.vertices)):
-            if v in placed:
-                continue
-            a, _ = g.vertices[v].arity
-            srcs = [by_target[("vi", v, k)] for k in range(a)]
-            if all(s[0] == "in" or s[1] in placed for s in srcs):
-                placed.add(v)
-                order.append(v)
+    order = list(topological_order(g))
 
     weights = {}
     for src, dst in g.edges:

@@ -8,11 +8,16 @@ or a vertex input slot.  Every port and every slot is the endpoint of
 exactly one edge; a through-strand wires an input port straight to an
 output port, so identity elements need no vertices.
 
-Terms are immutable values; every operation returns a fresh term.
+Terms are immutable values; every operation returns a fresh term.  Every
+graph rewrite (the attaching maps, the relations, the normalizer's passes
+and `absorb_equivalences`) edits a `Wiring`, the one mutable form of a
+term, and exports it back with `Wiring.to_term`.  Every traversal in
+dependency order walks `topological_order`.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,6 +147,39 @@ def _vertex_sources(g, by_target):
     return srcs
 
 
+def topological_order(g: GraphTerm, key=None):
+    """Yield the vertex indices of g in dependency order (Kahn over in-degrees).
+
+    Of the ready vertices, the one with the smallest key(v) comes next; the
+    default key is the index.  A vertex's key is computed once, when its
+    last predecessor has been yielded, so it may depend on the vertices
+    yielded before it.  Raises GraphError when a directed cycle leaves
+    vertices unplaced.
+    """
+    indegree = [0] * len(g.vertices)
+    successors = [[] for _ in g.vertices]
+    for src, dst in g.edges:
+        if src[0] == "vo" and dst[0] == "vi":
+            indegree[dst[1]] += 1
+            successors[src[1]].append(dst[1])
+    if key is None:
+        key = int
+    ready = [(key(v), v) for v, d in enumerate(indegree) if d == 0]
+    heapq.heapify(ready)
+    placed = 0
+    while ready:
+        _, v = heapq.heappop(ready)
+        yield v
+        placed += 1
+        for u in successors[v]:
+            indegree[u] -= 1
+            if indegree[u] == 0:
+                heapq.heappush(ready, (key(u), u))
+    if placed < len(indegree):
+        raise GraphError("directed cycle through vertices "
+                         + str([v for v, d in enumerate(indegree) if d]))
+
+
 def validate(g: GraphTerm) -> list:
     """Return a list of violation strings; empty means the term is valid."""
     problems = []
@@ -182,20 +220,11 @@ def validate(g: GraphTerm) -> list:
         return problems
 
     # acyclicity by Kahn's algorithm over vertices
-    srcs = _vertex_sources(g, by_target)
-    placed = set()
-    while len(placed) < len(g.vertices):
-        progressed = False
-        for v in range(len(g.vertices)):
-            if v in placed:
-                continue
-            if all(s[0] == "in" or s[1] in placed for s in srcs[v]):
-                placed.add(v)
-                progressed = True
-        if not progressed:
-            problems.append("directed cycle through vertices "
-                            + str(sorted(set(range(len(g.vertices))) - placed)))
-            break
+    try:
+        for _ in topological_order(g):
+            pass
+    except GraphError as exc:
+        problems.append(str(exc))
     return problems
 
 
@@ -303,8 +332,7 @@ def canonical_form(g: GraphTerm):
     then kind and parameters).  Distinct ready vertices always differ in
     their source sets, so the numbering is unique and iso-invariant.
     """
-    by_target = sources_by_target(g)
-    srcs = _vertex_sources(g, by_target)
+    srcs = _vertex_sources(g, sources_by_target(g))
     order = {}
 
     def endpoint_id(ep):
@@ -312,19 +340,12 @@ def canonical_form(g: GraphTerm):
             return (0, ep[1], 0)
         return (1, order[ep[1]], ep[2])
 
-    remaining = set(range(len(g.vertices)))
-    while remaining:
-        best = None
-        for v in remaining:
-            if all(s[0] == "in" or s[1] in order for s in srcs[v]):
-                vert = g.vertices[v]
-                sig = (tuple(endpoint_id(s) for s in srcs[v]), vert.kind, vert.params)
-                if best is None or sig < best[0]:
-                    best = (sig, v)
-        if best is None:
-            raise GraphError("directed cycle")
-        order[best[1]] = len(order)
-        remaining.discard(best[1])
+    def signature(v):
+        vert = g.vertices[v]
+        return (tuple(endpoint_id(s) for s in srcs[v]), vert.kind, vert.params)
+
+    for v in topological_order(g, key=signature):
+        order[v] = len(order)
 
     verts = [None] * len(g.vertices)
     for v, idx in order.items():
@@ -346,31 +367,91 @@ def iso_equal(g1: GraphTerm, g2: GraphTerm) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
+# ---------------------------------------------------------------------------
+# mutable wiring
+
+class Wiring:
+    """A graph term opened up for rewriting.
+
+    Vertex ids stay stable while vertices come and go; new vertices get
+    fresh ids above every old one.  `src` maps each edge's target endpoint
+    to its source and `tgt` the other way; `w` holds an optional label per
+    edge, keyed by the target endpoint.
+    """
+
+    def __init__(self, n, m):
+        self.n = n
+        self.m = m
+        self.kind = {}
+        self.params = {}
+        self.src = {}
+        self.tgt = {}
+        self.w = {}
+        self.fresh = 0
+
+    @classmethod
+    def from_term(cls, g: GraphTerm, weights=None):
+        """Open g; `weights` maps each edge (src, dst) to its label."""
+        work = cls(g.n, g.m)
+        for vert in g.vertices:
+            work.new_vertex(vert.kind, vert.params)
+        for src, dst in g.edges:
+            work.add_edge(src, dst, None if weights is None else weights[(src, dst)])
+        return work
+
+    def add_edge(self, s, d, w=None):
+        self.tgt[s] = d
+        self.src[d] = s
+        self.w[d] = w
+
+    def del_edge(self, d):
+        """Remove the edge into d; return its source and label."""
+        s = self.src.pop(d)
+        del self.tgt[s]
+        return s, self.w.pop(d)
+
+    def new_vertex(self, kind, params=()):
+        v = self.fresh
+        self.fresh += 1
+        self.kind[v] = kind
+        self.params[v] = params
+        return v
+
+    def del_vertex(self, v):
+        del self.kind[v], self.params[v]
+
+    def to_term(self) -> GraphTerm:
+        """Close the wiring: surviving vertices renumbered in id order."""
+        order = sorted(self.kind)
+        index = {v: i for i, v in enumerate(order)}
+
+        def ren(ep):
+            if ep[0] in ("vi", "vo"):
+                return (ep[0], index[ep[1]], ep[2])
+            return ep
+
+        vertices = tuple(Vertex(self.kind[v], self.params[v]) for v in order)
+        edges = frozenset((ren(s), ren(d)) for d, s in self.src.items())
+        return require_valid(GraphTerm(self.n, self.m, vertices, edges))
+
+
 def absorb_equivalences(g: GraphTerm) -> GraphTerm:
     """Delete unit-decorated ("id") vertices, bridging their strands.
 
     Permutation decorations need no work here: the wiring representation
     absorbs pre/post permutations into the edge set already.
     """
-    while True:
-        idx = next((v for v, vert in enumerate(g.vertices) if vert.kind == "id"), None)
-        if idx is None:
-            return g
-        by_target = sources_by_target(g)
-        by_source = targets_by_source(g)
-        src = by_target[("vi", idx, 0)]
-        dst = by_source[("vo", idx, 0)]
-        edges = [e for e in g.edges
-                 if e[1] != ("vi", idx, 0) and e[0] != ("vo", idx, 0)]
-        edges.append((src, dst))
-
-        def drop(ep):
-            if ep[0] in ("vi", "vo") and ep[1] > idx:
-                return (ep[0], ep[1] - 1, ep[2])
-            return ep
-
-        edges = frozenset((drop(s), drop(d)) for s, d in edges)
-        g = GraphTerm(g.n, g.m, g.vertices[:idx] + g.vertices[idx + 1:], edges)
+    if all(vert.kind != "id" for vert in g.vertices):
+        return g
+    work = Wiring.from_term(g)
+    for v, vert in enumerate(g.vertices):
+        if vert.kind == "id":
+            src, _ = work.del_edge(("vi", v, 0))
+            dst = work.tgt[("vo", v, 0)]
+            work.del_edge(dst)
+            work.del_vertex(v)
+            work.add_edge(src, dst)
+    return work.to_term()
 
 
 # ---------------------------------------------------------------------------

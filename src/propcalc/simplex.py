@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphError
-from .graphs import GraphTerm, require_valid, sources_by_target
+from .graphs import GraphTerm, require_valid, targets_by_source, topological_order
 from .generators import term_degree
 
 
@@ -107,33 +107,15 @@ def eval_term(g: GraphTerm, points, d=None):
         for p in points:
             if p.d != d:
                 raise GraphError(f"point {p} does not live in dimension {d}")
-    value = {}  # dst endpoint of an edge -> point
-    by_target = sources_by_target(g)
-    for src, dst in g.edges:
-        if src[0] == "in":
-            value[dst] = points[src[1]]
-    done = set()
-    while len(done) < len(g.vertices):
-        progressed = False
-        for v, vert in enumerate(g.vertices):
-            if v in done:
-                continue
-            ins = [("vi", v, k) for k in range(vert.arity[0])]
-            if not all(ep in value for ep in ins):
-                continue
-            s = vert.params[0] if vert.params else None
-            outs = eval_generator(vert.kind, s, tuple(value[ep] for ep in ins))
-            for k, out in enumerate(outs):
-                dst = None
-                for src, dd in g.edges:
-                    if src == ("vo", v, k):
-                        dst = dd
-                        break
-                value[dst] = out
-            done.add(v)
-            progressed = True
-        if not progressed:
-            raise GraphError("directed cycle")
+    by_source = targets_by_source(g)
+    value = {by_source[("in", i)]: p for i, p in enumerate(points)}  # dst endpoint -> point
+    for v in topological_order(g):
+        vert = g.vertices[v]
+        s = vert.params[0] if vert.params else None
+        outs = eval_generator(vert.kind, s,
+                              tuple(value[("vi", v, k)] for k in range(vert.arity[0])))
+        for k, out in enumerate(outs):
+            value[by_source[("vo", v, k)]] = out
     return tuple(value[("out", j)] for j in range(g.m))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .complexes import SimplicialComplex
 from .errors import GraphError
 from .graphs import GraphTerm
 from .simplex import SimplexPoint, codegeneracy, coface, eval_term
@@ -130,18 +131,7 @@ def sset_to_json(ss: SimplicialSet) -> str:
 
 def standard_sset(d) -> SimplicialSet:
     """The standard d-simplex: nondegenerate cells are vertex subsets."""
-    from itertools import combinations
-    cells = []
-    faces = {}
-    for k in range(d + 1):
-        for vs in combinations(range(d + 1), k + 1):
-            name = ",".join(map(str, vs))
-            cells.append(Cell(name, k))
-            for j in range(k + 1):
-                sub = vs[:j] + vs[j + 1:]
-                if sub:
-                    faces[(name, j)] = FormalCell((), Cell(",".join(map(str, sub)), k - 1))
-    return SimplicialSet(cells, faces)
+    return from_complex(SimplicialComplex.standard_simplex(d))
 
 
 def from_complex(complex_) -> SimplicialSet:

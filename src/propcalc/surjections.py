@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import CompositionError, GraphError, InternalError, WeightingError
 from .generators import (EdgeWeighting, MS, S, apply_attaching, check_tag,
                          corolla, to_edge_weights)
-from .graphs import (GraphTerm, Permutation, Vertex, absorb_equivalences,
+from .graphs import (GraphTerm, Permutation, Wiring, absorb_equivalences,
                      horizontal_compose, permutation_graph, require_valid,
                      unit, vertical_compose)
 
@@ -369,48 +369,15 @@ def enumerate_basis(n: int, m: int, degree: int):
 # ---------------------------------------------------------------------------
 # the rewriting engine
 
-class _Work:
-    """Mutable weighted graph over eps/delta/mu used by the rewrite passes."""
-
-    def __init__(self, n, m):
-        self.n = n
-        self.m = m
-        self.kind = {}
-        self.tgt = {}
-        self.src = {}
-        self.w = {}
-        self.fresh = 0
+class _Work(Wiring):
+    """The normalizer's rewrite passes over a weighted eps/delta/mu wiring."""
 
     @classmethod
     def from_graph(cls, g: GraphTerm, weighting: EdgeWeighting):
-        work = cls(g.n, g.m)
-        for v, vert in enumerate(g.vertices):
+        for vert in g.vertices:
             if vert.kind not in ("eps", "delta", "mu"):
                 raise GraphError(f"normalizer does not accept {vert.kind} vertices")
-            work.kind[v] = vert.kind
-        work.fresh = len(g.vertices)
-        for src, dst in g.edges:
-            work.add_edge(src, dst, weighting.weights[(src, dst)])
-        return work
-
-    def add_edge(self, s, d, w):
-        self.tgt[s] = d
-        self.src[d] = s
-        self.w[d] = w
-
-    def del_edge(self, d):
-        s = self.src.pop(d)
-        del self.tgt[s]
-        return s, self.w.pop(d)
-
-    def new_vertex(self, kind):
-        v = self.fresh
-        self.fresh += 1
-        self.kind[v] = kind
-        return v
-
-    def del_vertex(self, v):
-        del self.kind[v]
+        return cls.from_term(g, weighting.weights)
 
     def counit_redexes(self):
         out = []
@@ -590,25 +557,11 @@ class _Work:
 
     def to_graph(self) -> GraphTerm:
         """Export with mu parameters recovered from the local weights."""
-        order = sorted(self.kind)
-        index = {v: i for i, v in enumerate(order)}
-        vertices = []
-        for v in order:
-            kind = self.kind[v]
+        for v, kind in self.kind.items():
             if kind == "mu":
                 a = self.w[self.tgt[("vo", v, 0)]]
-                s = self.w[("vi", v, 1)] / a if a else Fraction(0)
-                vertices.append(Vertex("mu", (s,)))
-            else:
-                vertices.append(Vertex(kind))
-
-        def ren(ep):
-            if ep[0] in ("vi", "vo"):
-                return (ep[0], index[ep[1]], ep[2])
-            return ep
-
-        edges = frozenset((ren(s), ren(self.tgt[s])) for s in self.tgt)
-        return require_valid(GraphTerm(self.n, self.m, tuple(vertices), edges))
+                self.params[v] = (self.w[("vi", v, 1)] / a if a else Fraction(0),)
+        return self.to_term()
 
     def extract(self) -> WeightedSurjection:
         """Read the canonical data off a fully rewritten graph."""

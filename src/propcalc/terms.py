@@ -58,24 +58,31 @@ class _Parser:
         self.i += 1
         return tok
 
+    def integer(self, what="an integer"):
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"expected {what}, got {tok!r}")
+        try:
+            return int(tok)
+        except ValueError:  # longer than the interpreter converts
+            raise ParseError(f"integer of {len(tok)} digits is too long") from None
+
     def rational(self):
-        num = self.take()
-        if not num.isdigit():
-            raise ParseError(f"expected a rational, got {num!r}")
+        num = self.integer("a rational")
         if self.peek() == "/":
             self.take("/")
-            den = self.take()
-            if not den.isdigit() or int(den) == 0:
-                raise ParseError(f"bad denominator {den!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+            den = self.integer("a denominator")
+            if den == 0:
+                raise ParseError("zero denominator")
+            return Fraction(num, den)
+        return Fraction(num)
 
     def int_list(self):
         self.take("[")
-        items = [int(self.take())]
+        items = [self.integer()]
         while self.peek() == ",":
             self.take(",")
-            items.append(int(self.take()))
+            items.append(self.integer())
         self.take("]")
         return items
 
@@ -125,7 +132,10 @@ class _Parser:
 def parse(text: str) -> GraphTerm:
     """Parse a term of the shared term language into a graph term."""
     p = _Parser(text)
-    t = p.term()
+    try:
+        t = p.term()
+    except RecursionError:
+        raise ParseError("term nested too deeply") from None
     if p.i != len(p.tokens):
         tok, pos = p.tokens[p.i]
         raise ParseError(f"trailing input {tok!r} at position {pos}")

@@ -472,8 +472,7 @@ SUITES = [crit1_confluence, crit2_basis_counts, crit3_differential,
 
 def run_all(seed=DEFAULT_SEED, only=None, out=print):
     results = []
-    for fn in SUITES:
-        number = int(fn.__name__[4] if fn.__name__[4].isdigit() else 0)
+    for number, fn in enumerate(SUITES, start=1):
         if only and number not in only:
             continue
         res = fn(seed)

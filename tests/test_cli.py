@@ -144,3 +144,19 @@ def test_cochain_face_outside_the_complex_exit_1(capsys, tmp_path):
     assert "1 9 is not a simplex" in capsys.readouterr().err
     assert run(["cup", "--i", "0", "--complex", os.path.join(DATA, "rp2.sc"),
                 "--a", os.path.join(DATA, "rp2_h1.cc"), "--b", str(stray)]) == 1
+
+
+@pytest.mark.parametrize("text", ["sigma[]", "sigma[,]", "sigma[1,]",
+                                  "(" * 2000 + "id" + ")" * 2000],
+                         ids=["empty-list", "comma", "trailing-comma", "deep-nesting"])
+def test_malformed_terms_exit_1(capsys, text):
+    assert run(["parse", text]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("only", ["a", "12", "0", "2,x", "2,10"])
+def test_verify_rejects_unknown_criteria(capsys, only):
+    assert run(["verify", "--only", only]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # no suite ran

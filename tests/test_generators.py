@@ -8,7 +8,7 @@ from propcalc.generators import (EdgeWeighting, S, S_TILDE, apply_attaching,
                                  apply_relations_S, corolla, from_edge_weights,
                                  stabilize_add, stabilize_remove, to_edge_weights)
 from propcalc.graphs import iso_equal, sources_by_target, unit, vertical_compose
-from propcalc.surjections import random_sterm
+from propcalc.surjections import normalize, random_sterm
 from propcalc.terms import parse
 
 
@@ -206,3 +206,10 @@ def test_input_side_weight_conservation():
         total_in = sum(v for (s, d), v in w.weights.items() if s[0] == "in")
         # counit edges carry zero, so the inflow equals the number of outputs
         assert total_in == g.m
+
+
+def test_relations_keep_the_normal_form():
+    rng = random.Random(26)
+    for _ in range(300):
+        g = random_sterm(rng)
+        assert normalize(apply_relations_S(g)) == normalize(g)

@@ -4,13 +4,15 @@ from itertools import permutations
 
 import pytest
 
-from propcalc.errors import CompositionError
+from propcalc.errors import CompositionError, GraphError
 from propcalc.graphs import (GraphTerm, Permutation, Vertex, absorb_equivalences,
                              canonical_form, from_json, horizontal_compose,
                              iso_equal, permutation_graph, permute_inputs,
-                             permute_outputs, to_dot, to_json, unit, validate,
-                             vertical_compose)
+                             permute_outputs, to_dot, to_json, topological_order,
+                             unit, validate, vertical_compose)
+from propcalc.chains import chain_eval
 from propcalc.generators import corolla
+from propcalc.simplex import eval_term, parse_point
 from propcalc.surjections import random_sterm
 
 
@@ -218,3 +220,47 @@ def test_canonical_form_invariant_under_vertex_shuffle():
         g2 = GraphTerm(g.n, g.m, tuple(verts),
                        frozenset((ren(s), ren(d)) for s, d in g.edges))
         assert canonical_form(g) == canonical_form(g2)
+
+
+def _unit_vertex():
+    return GraphTerm(1, 1, (Vertex("id"),), frozenset({
+        (("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("out", 0))}))
+
+
+def test_absorb_equivalences_chain_of_two_units():
+    two = vertical_compose(_unit_vertex(), _unit_vertex())
+    assert absorb_equivalences(two) == unit(1)
+    # between a coproduct and a product, on the first strand
+    g = vertical_compose(
+        vertical_compose(corolla("delta"), horizontal_compose([two, unit(1)])),
+        corolla("mu", (Fraction(1, 3),)))
+    absorbed = absorb_equivalences(g)
+    assert absorbed == vertical_compose(corolla("delta"), corolla("mu", (Fraction(1, 3),)))
+    point = (parse_point("1/3,3/4"),)
+    assert eval_term(g, point) == eval_term(absorbed, point)
+    assert chain_eval(g) == chain_eval(absorbed)
+
+
+def _out_of_order_term():
+    """Vertex 2 (delta) feeds vertex 0 (eps) and vertex 1 (delta)."""
+    return GraphTerm(1, 2, (Vertex("eps"), Vertex("delta"), Vertex("delta")), frozenset({
+        (("in", 0), ("vi", 2, 0)), (("vo", 2, 0), ("vi", 0, 0)),
+        (("vo", 2, 1), ("vi", 1, 0)), (("vo", 1, 0), ("out", 0)),
+        (("vo", 1, 1), ("out", 1))}))
+
+
+def test_topological_order_takes_the_ready_vertex_with_the_smallest_key():
+    g = _out_of_order_term()
+    assert validate(g) == []
+    assert list(topological_order(g)) == [2, 0, 1]
+    assert list(topological_order(g, key=lambda v: -v)) == [2, 1, 0]
+    assert list(topological_order(unit(2))) == []
+
+
+def test_topological_order_reports_the_cycle():
+    v = (Vertex("mu", (Fraction(1, 2),)), Vertex("delta"))
+    g = GraphTerm(1, 1, v, frozenset({
+        (("in", 0), ("vi", 0, 0)), (("vo", 1, 0), ("vi", 0, 1)),
+        (("vo", 0, 0), ("vi", 1, 0)), (("vo", 1, 1), ("out", 0))}))
+    with pytest.raises(GraphError, match=r"directed cycle through vertices \[0, 1\]"):
+        list(topological_order(g))

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from propcalc.errors import GraphError
-from propcalc.generators import apply_attaching, corolla
+from propcalc.generators import S, apply_attaching, corolla
+from propcalc.graphs import GraphTerm, Vertex
 from propcalc.simplex import (SimplexPoint, carrier, check_cellular,
                               check_naturality, codegeneracy, coface,
                               eval_generator, eval_term, face_action,
                               face_point, parse_point, point_in_face,
                               random_point, vertex_point)
+from propcalc.surjections import random_sterm
 from propcalc.terms import parse
 
 
@@ -173,3 +175,21 @@ def test_face_action_matches_chain_level_diagonal():
     # the join on disjoint faces produces the same index set
     assert set(act_type(mu_type(), ((0,), (1, 2)))) == {
         (face_action("mu", ((0,), (1, 2)))[0],)}
+
+
+def test_attaching_maps_keep_the_evaluation():
+    """Boundary mu vertices inside whole terms, not only single corollas."""
+    rng = random.Random(27)
+    attached = 0
+    for _ in range(300):
+        g = random_sterm(rng)
+        vertices = tuple(Vertex("mu", (F(rng.randint(0, 1)),))
+                         if v.kind == "mu" and rng.random() < 0.5 else v
+                         for v in g.vertices)
+        g = GraphTerm(g.n, g.m, vertices, g.edges)
+        h = apply_attaching(g, S)
+        attached += h != g
+        for _ in range(5):
+            points = tuple(random_point(rng, 2) for _ in range(g.n))
+            assert eval_term(g, points) == eval_term(h, points)
+    assert attached > 50

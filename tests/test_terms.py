@@ -62,3 +62,18 @@ def test_parameter_range_checked():
 def test_nested_parens():
     t = parse("((delta) ; ((mu(1/2))))")
     assert t.biarity == (1, 1)
+
+
+@pytest.mark.parametrize("text", ["sigma[]", "sigma[,]", "sigma[1,]", "tau[1,,2]",
+                                  "sigma[" + "1" * 5000 + "]", "mu(1/" + "3" * 5000 + ")"],
+                         ids=["empty", "comma", "trailing-comma", "double-comma",
+                              "overlong-entry", "overlong-denominator"])
+def test_malformed_numbers_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse("(" * 2000 + "id" + ")" * 2000)
+    assert parse("(" * 50 + "delta" + ")" * 50).biarity == (1, 2)
