@@ -133,8 +133,28 @@ def _criteria(text):
     return only
 
 
+# options whose values may begin with "-", which argparse would take for an option
+_DASH_VALUE_OPTIONS = ("--face", "--point")
+
+
+def _attach_dash_values(argv):
+    """Write `--face -1,2` as `--face=-1,2`, so that the value reaches its own check."""
+    out = []
+    k = 0
+    while k < len(argv):
+        if (argv[k] in _DASH_VALUE_OPTIONS and k + 1 < len(argv)
+                and argv[k + 1].startswith("-")):
+            out.append(f"{argv[k]}={argv[k + 1]}")
+            k += 2
+        else:
+            out.append(argv[k])
+            k += 1
+    return out
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_dash_values(argv))
     try:
         return _dispatch(args)
     except InternalError as exc:

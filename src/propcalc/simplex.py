@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GraphError
+from .errors import GraphError, ParseError
 from .graphs import GraphTerm, require_valid, targets_by_source, topological_order
 from .generators import term_degree
 
@@ -46,10 +46,17 @@ class SimplexPoint:
 
 
 def parse_point(text: str) -> SimplexPoint:
+    """A point given as comma-separated coordinates, each a rational or a decimal."""
     text = text.strip()
     if not text:
         return SimplexPoint(())
-    return SimplexPoint(tuple(Fraction(tok) for tok in text.split(",")))
+    coords = []
+    for tok in text.split(","):
+        try:
+            coords.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"point {text!r}: bad coordinate {tok.strip()!r}") from None
+    return SimplexPoint(tuple(coords))
 
 
 def random_point(rng, d, denom=64) -> SimplexPoint:

@@ -12,6 +12,7 @@ recover the element.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ class RibbonGraph:
         self.alpha = {}      # half -> opposite half
         self.at = {}         # half -> vertex
         self.edges = {}      # edge id -> dict(tail, head, weight, kind)
+        self.half_edge = {}  # half -> edge id
         self.tags = {}       # vertex -> ("in", i) | ("out", j) | None
         self._next_half = 0
         self._next_edge = 0
@@ -51,13 +53,22 @@ class RibbonGraph:
         self.rotation[u].append(h1)
         self.rotation[v].append(h2)
         self.edges[e] = {"tail": h1, "head": h2, "weight": weight, "kind": kind}
+        self.half_edge[h1] = self.half_edge[h2] = e
         return e
 
+    def remove_edge(self, e):
+        """Drop edge e and its halves from the edge maps; return its data.
+        The halves stay in the rotations."""
+        data = self.edges.pop(e)
+        for h in (data["tail"], data["head"]):
+            del self.alpha[h], self.at[h], self.half_edge[h]
+        return data
+
     def edge_of_half(self, h):
-        for e, data in self.edges.items():
-            if h in (data["tail"], data["head"]):
-                return e
-        raise InternalError(f"orphan half {h}")
+        try:
+            return self.half_edge[h]
+        except KeyError:
+            raise InternalError(f"orphan half {h}") from None
 
     def sigma(self, h):
         rot = self.rotation[self.at[h]]
@@ -69,6 +80,7 @@ class RibbonGraph:
         out.alpha = dict(self.alpha)
         out.at = dict(self.at)
         out.edges = {e: dict(d) for e, d in self.edges.items()}
+        out.half_edge = dict(self.half_edge)
         out.tags = dict(self.tags)
         out._next_half = self._next_half
         out._next_edge = self._next_edge
@@ -179,65 +191,89 @@ def to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     return rg
 
 
+def _degrees(rg: RibbonGraph):
+    """In- and out-degree of every vertex."""
+    indeg = dict.fromkeys(rg.rotation, 0)
+    outdeg = dict.fromkeys(rg.rotation, 0)
+    for data in rg.edges.values():
+        outdeg[rg.at[data["tail"]]] += 1
+        indeg[rg.at[data["head"]]] += 1
+    return indeg, outdeg
+
+
+def _collapsible(rg: RibbonGraph, data, indeg, outdeg) -> bool:
+    if data["kind"] == "circle":
+        return False
+    u, w = rg.at[data["tail"]], rg.at[data["head"]]
+    boundary_u = rg.tags[u] is not None
+    if boundary_u == (rg.tags[w] is not None):
+        return False
+    # the edge is the only one of its direction at its interior endpoint
+    return indeg[w] == 1 if boundary_u else outdeg[u] == 1
+
+
 def collapsible_edges(rg: RibbonGraph):
     """Edges with exactly one endpoint on a boundary circle and no sibling
     of the same direction at the interior endpoint."""
-    out = []
-    for e, data in sorted(rg.edges.items()):
-        if data["kind"] == "circle":
-            continue
-        u, w = rg.at[data["tail"]], rg.at[data["head"]]
-        boundary_u = rg.tags[u] is not None
-        boundary_w = rg.tags[w] is not None
-        if boundary_u == boundary_w:
-            continue
-        interior = w if boundary_u else u
-        incoming = rg.at[data["head"]] == interior
-        siblings = 0
-        for e2, d2 in rg.edges.items():
-            if e2 == e:
-                continue
-            if incoming and rg.at[d2["head"]] == interior:
-                siblings += 1
-            if not incoming and rg.at[d2["tail"]] == interior:
-                siblings += 1
-        if siblings == 0:
-            out.append(e)
-    return out
+    indeg, outdeg = _degrees(rg)
+    return [e for e, data in sorted(rg.edges.items())
+            if _collapsible(rg, data, indeg, outdeg)]
 
 
-def contract_edge(rg: RibbonGraph, e) -> RibbonGraph:
-    """Standard ribbon contraction: splice the interior rotation into the
-    boundary vertex's rotation in place of the contracted half."""
-    rg = rg.copy()
-    data = rg.edges.pop(e)
+def _contract(rg: RibbonGraph, e):
+    """Contract edge e of rg in place; return the halves moved onto the
+    boundary vertex."""
+    data = rg.edges[e]
     h_tail, h_head = data["tail"], data["head"]
     u, w = rg.at[h_tail], rg.at[h_head]
     if rg.tags[u] is not None:
         keep, gone, h_keep, h_gone = u, w, h_tail, h_head
     else:
         keep, gone, h_keep, h_gone = w, u, h_head, h_tail
-    rot_gone = rg.rotation[gone]
+    rg.remove_edge(e)
+    rot_gone = rg.rotation.pop(gone)
+    del rg.tags[gone]
     i = rot_gone.index(h_gone)
     spliced = rot_gone[i + 1:] + rot_gone[:i]
     rot_keep = rg.rotation[keep]
     j = rot_keep.index(h_keep)
-    rg.rotation[keep] = rot_keep[:j] + spliced + rot_keep[j + 1:]
+    rot_keep[j:j + 1] = spliced
     for h in spliced:
         rg.at[h] = keep
-    del rg.rotation[gone], rg.tags[gone]
-    del rg.alpha[h_tail], rg.alpha[h_head]
-    del rg.at[h_tail], rg.at[h_head]
+    return spliced
+
+
+def contract_edge(rg: RibbonGraph, e) -> RibbonGraph:
+    """Standard ribbon contraction: splice the interior rotation into the
+    boundary vertex's rotation in place of the contracted half."""
+    rg = rg.copy()
+    _contract(rg, e)
     return rg
 
 
 def collapse_edges(rg: RibbonGraph) -> RibbonGraph:
-    """Contract collapsible edges until none remain; idempotent."""
-    while True:
-        todo = collapsible_edges(rg)
-        if not todo:
-            return rg
-        rg = contract_edge(rg, todo[0])
+    """Contract collapsible edges, smallest id first, until none remain;
+    idempotent.
+
+    Works in place on one copy.  A contraction merges an interior vertex
+    into a boundary vertex, so interior degrees never change and an edge
+    can only turn collapsible when one of its ends is merged; the heap
+    holds every collapsible edge, and entries that stopped being
+    collapsible are dropped when they come up.
+    """
+    rg = rg.copy()
+    indeg, outdeg = _degrees(rg)
+    heap = [e for e, data in rg.edges.items() if _collapsible(rg, data, indeg, outdeg)]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)
+        if not _collapsible(rg, rg.edges[e], indeg, outdeg):
+            continue
+        for h in _contract(rg, e):
+            e2 = rg.half_edge[h]
+            if _collapsible(rg, rg.edges[e2], indeg, outdeg):
+                heapq.heappush(heap, e2)
+    return rg
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +405,10 @@ def recover_surjection(rg: RibbonGraph, n, m) -> WeightedSurjection:
 def remove_arc(rg: RibbonGraph, e) -> RibbonGraph:
     """Delete one edge, keeping the rotation order of the rest."""
     rg = rg.copy()
-    data = rg.edges.pop(e)
+    data = rg.edges[e]
     for h in (data["tail"], data["head"]):
         rg.rotation[rg.at[h]].remove(h)
-        del rg.alpha[h], rg.at[h]
+    rg.remove_edge(e)
     return rg
 
 

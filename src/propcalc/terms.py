@@ -12,49 +12,59 @@ Grammar (whitespace insignificant)::
 "|" binds tighter than ";".  "sigma" and "tau" both denote the vertex-free
 permutation graph routing input j to output l[j]; they differ only in how
 one reads them (pre- versus post-composition).  "h" is the counit homotopy.
+
+Atoms parse to light descriptors (a permutation image, a `Vertex`, or the
+graph term of a parenthesized term), and each layer is built as one graph
+term in one left-to-right pass.  The layers of a term are checked for
+arity as they are read and then joined pairwise by `vertical_compose`,
+which is associative on this representation: the vertex order and the
+edge set are those of the left-to-right fold.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
-from .errors import ParseError
-from .generators import corolla
-from .graphs import GraphTerm, horizontal_compose, permutation_graph, unit, vertical_compose
+from .errors import CompositionError, ParseError
+from .graphs import GraphTerm, Permutation, Vertex, _shift_endpoint, vertical_compose
 
-_TOKEN = re.compile(r"\s*(mu|h|id|eps|delta|swap|sigma|tau|\d+|[();|\[\],/])")
+# group 1 is a token; a character that starts none matches with group 1 empty
+_TOKEN = re.compile(r"\s*(?:(mu|h|id|eps|delta|swap|sigma|tau|\d+|[();|\[\],/])|\S)")
 
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+# atoms without arguments; a tuple is a permutation image, read as the
+# vertex-free layer wiring input j to output image[j-1]
+_FIXED_ATOMS = {"id": (1,), "swap": (2, 1), "eps": Vertex("eps"), "delta": Vertex("delta")}
+_PARAM_KINDS = {"mu": "mu", "h": "phi"}
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
+        if "" in self.tokens:
+            pos = self.position(self.tokens.index(""))
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        self.tokens.append(None)  # end of input
         self.i = 0
 
+    def position(self, k):
+        """Where the k-th token starts in the text."""
+        m = next(islice(_TOKEN.finditer(self.text), k, None))
+        tok = m.group(1)
+        return m.end() - (len(tok) if tok else 1)
+
     def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def take(self, expected=None):
-        if self.i >= len(self.tokens):
+        tok = self.tokens[self.i]
+        if tok is None:
             raise ParseError(f"unexpected end of term {self.text!r}")
-        tok, pos = self.tokens[self.i]
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r} at position {pos}, got {tok!r}")
+            raise ParseError(f"expected {expected!r} at position {self.position(self.i)}, "
+                             f"got {tok!r}")
         self.i += 1
         return tok
 
@@ -87,27 +97,18 @@ class _Parser:
         return items
 
     def atom(self):
+        """A permutation image, a Vertex, or the GraphTerm of "( term )"."""
         tok = self.take()
-        if tok == "id":
-            return unit(1)
-        if tok == "eps":
-            return corolla("eps")
-        if tok == "delta":
-            return corolla("delta")
-        if tok == "mu":
+        fixed = _FIXED_ATOMS.get(tok)
+        if fixed is not None:
+            return fixed
+        if tok in _PARAM_KINDS:
             self.take("(")
             s = self.rational()
             self.take(")")
-            return corolla("mu", (s,))
-        if tok == "h":
-            self.take("(")
-            s = self.rational()
-            self.take(")")
-            return corolla("phi", (s,))
-        if tok == "swap":
-            return permutation_graph((2, 1))
+            return Vertex(_PARAM_KINDS[tok], (s,))
         if tok in ("sigma", "tau"):
-            return permutation_graph(tuple(self.int_list()))
+            return Permutation(tuple(self.int_list())).image
         if tok == "(":
             t = self.term()
             self.take(")")
@@ -115,18 +116,55 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
     def par(self):
-        parts = [self.atom()]
-        while self.peek() == "|":
-            self.take("|")
-            parts.append(self.atom())
-        return parts[0] if len(parts) == 1 else horizontal_compose(parts)
+        """One layer, built left to right as a single graph term."""
+        atoms = [self.atom()]
+        while self.tokens[self.i] == "|":
+            self.i += 1
+            atoms.append(self.atom())
+        if len(atoms) == 1 and isinstance(atoms[0], GraphTerm):
+            return atoms[0]
+        vertices = []
+        edges = []
+        n = m = 0
+        for a in atoms:
+            if isinstance(a, tuple):
+                edges += [(("in", n + i), ("out", m + j - 1)) for i, j in enumerate(a)]
+                n += len(a)
+                m += len(a)
+            elif isinstance(a, Vertex):
+                dv = len(vertices)
+                k_in, k_out = a.arity
+                edges += [(("in", n + k), ("vi", dv, k)) for k in range(k_in)]
+                edges += [(("vo", dv, k), ("out", m + k)) for k in range(k_out)]
+                vertices.append(a)
+                n += k_in
+                m += k_out
+            else:
+                dv = len(vertices)
+                edges += [(_shift_endpoint(src, dv, n, m), _shift_endpoint(dst, dv, n, m))
+                          for src, dst in a.edges]
+                vertices += a.vertices
+                n += a.n
+                m += a.m
+        return GraphTerm(n, m, tuple(vertices), frozenset(edges))
 
     def term(self):
-        t = self.par()
-        while self.peek() == ";":
-            self.take(";")
-            t = vertical_compose(t, self.par())
-        return t
+        """Layers checked for arity as they are read, then joined pairwise."""
+        layers = [self.par()]
+        while self.tokens[self.i] == ";":
+            self.i += 1
+            below = self.par()
+            if layers[-1].m != below.n:
+                raise CompositionError(f"cannot compose ({layers[0].n},{layers[-1].m}) "
+                                       f"above ({below.n},{below.m})")
+            layers.append(below)
+        while len(layers) > 1:
+            joined = [vertical_compose(layers[k], layers[k + 1])
+                      for k in range(0, len(layers) - 1, 2)]
+            if len(layers) % 2:
+                joined.append(layers[-1])
+            layers = joined
+        return layers[0]
 
 
 def parse(text: str) -> GraphTerm:
@@ -136,7 +174,7 @@ def parse(text: str) -> GraphTerm:
         t = p.term()
     except RecursionError:
         raise ParseError("term nested too deeply") from None
-    if p.i != len(p.tokens):
-        tok, pos = p.tokens[p.i]
-        raise ParseError(f"trailing input {tok!r} at position {pos}")
+    tok = p.tokens[p.i]
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r} at position {p.position(p.i)}")
     return t

@@ -160,3 +160,21 @@ def test_verify_rejects_unknown_criteria(capsys, only):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""  # no suite ran
+
+
+def test_face_with_a_leading_minus_reaches_the_face_check(capsys):
+    # argparse would take "-1,2" for an option and exit 2
+    assert run(["act", "--term", "delta", "--face", "-1,2"]) == 1
+    assert capsys.readouterr().err.startswith("error: face '-1,2': ")
+
+
+@pytest.mark.parametrize("point, message", [
+    ("abc", "bad coordinate 'abc'"),
+    ("1/0", "bad coordinate '1/0'"),
+    ("1/4,x", "bad coordinate 'x'"),
+    ("-1/2", "outside [0,1]"),
+], ids=["not-a-number", "zero-denominator", "second-coordinate", "leading-minus"])
+def test_eval_rejects_bad_points(capsys, point, message):
+    assert run(["eval", "--term", "delta", "--point", point]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

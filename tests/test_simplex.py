@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from propcalc.errors import GraphError
+from propcalc.errors import GraphError, ParseError
 from propcalc.generators import S, apply_attaching, corolla
 from propcalc.graphs import GraphTerm, Vertex
 from propcalc.simplex import (SimplexPoint, carrier, check_cellular,
@@ -193,3 +193,9 @@ def test_attaching_maps_keep_the_evaluation():
             points = tuple(random_point(rng, 2) for _ in range(g.n))
             assert eval_term(g, points) == eval_term(h, points)
     assert attached > 50
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "1/4,", "0.5.5", "1/2,x"])
+def test_parse_point_rejects_bad_coordinates(text):
+    with pytest.raises(ParseError, match="bad coordinate"):
+        parse_point(text)

@@ -3,16 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from propcalc.errors import GraphError
+from propcalc.errors import GraphError, InternalError
 from propcalc.surjections import (SurjType, canonicalize_ws,
                                   counit_class, enumerate_basis, normalize,
                                   random_stype, random_weights, random_ws,
                                   uniform_weights)
 from propcalc.surfaces import (RibbonGraph, arc_edges_in_position_order,
-                               collapse_edges, collapsible_edges, recover_surjection,
-                               remove_arc, ribbon_loops, ribbon_to_dot,
-                               summarize_ribbon, surface_summary, svg_sketch,
-                               to_ribbon)
+                               collapse_edges, collapsible_edges, contract_edge,
+                               recover_surjection, remove_arc, ribbon_loops,
+                               ribbon_to_dot, summarize_ribbon, surface_summary,
+                               svg_sketch, to_ribbon)
 from propcalc.terms import parse
 
 
@@ -170,3 +170,152 @@ def test_composition_independent_of_representative():
         direct = compose_weighted(x, y)
         via = normalize(vertical_compose(expand_graph(x), expand_graph(y)))
         assert surface_summary(direct) == surface_summary(via)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the collapse that rescanned every edge pair and copied the graph
+# for every contraction
+
+def _old_collapsible_edges(rg):
+    out = []
+    for e, data in sorted(rg.edges.items()):
+        if data["kind"] == "circle":
+            continue
+        u, w = rg.at[data["tail"]], rg.at[data["head"]]
+        boundary_u = rg.tags[u] is not None
+        boundary_w = rg.tags[w] is not None
+        if boundary_u == boundary_w:
+            continue
+        interior = w if boundary_u else u
+        incoming = rg.at[data["head"]] == interior
+        siblings = 0
+        for e2, d2 in rg.edges.items():
+            if e2 == e:
+                continue
+            if incoming and rg.at[d2["head"]] == interior:
+                siblings += 1
+            if not incoming and rg.at[d2["tail"]] == interior:
+                siblings += 1
+        if siblings == 0:
+            out.append(e)
+    return out
+
+
+def _old_contract_edge(rg, e):
+    rg = rg.copy()
+    data = rg.edges.pop(e)
+    h_tail, h_head = data["tail"], data["head"]
+    u, w = rg.at[h_tail], rg.at[h_head]
+    if rg.tags[u] is not None:
+        keep, gone, h_keep, h_gone = u, w, h_tail, h_head
+    else:
+        keep, gone, h_keep, h_gone = w, u, h_head, h_tail
+    rot_gone = rg.rotation[gone]
+    i = rot_gone.index(h_gone)
+    spliced = rot_gone[i + 1:] + rot_gone[:i]
+    rot_keep = rg.rotation[keep]
+    j = rot_keep.index(h_keep)
+    rg.rotation[keep] = rot_keep[:j] + spliced + rot_keep[j + 1:]
+    for h in spliced:
+        rg.at[h] = keep
+    del rg.rotation[gone], rg.tags[gone]
+    del rg.alpha[h_tail], rg.alpha[h_head]
+    del rg.at[h_tail], rg.at[h_head]
+    return rg
+
+
+def _old_collapse_edges(rg):
+    while True:
+        todo = _old_collapsible_edges(rg)
+        if not todo:
+            return rg
+        rg = _old_contract_edge(rg, todo[0])
+
+
+def _state(rg):
+    return rg.rotation, rg.alpha, rg.at, rg.edges, rg.tags
+
+
+def _assert_collapse_matches_the_oracle(rg):
+    before = _state(rg.copy())
+    assert collapsible_edges(rg) == _old_collapsible_edges(rg)
+    new = collapse_edges(rg)
+    assert _state(rg) == before  # the input is left alone
+    assert _state(new) == _state(_old_collapse_edges(rg))
+    assert new.half_edge == {h: e for e, d in new.edges.items() for h in (d["tail"], d["head"])}
+    for e in _old_collapsible_edges(rg)[:2]:
+        assert _state(contract_edge(rg, e)) == _state(_old_contract_edge(rg, e))
+
+
+def test_collapse_matches_the_oracle_on_every_small_basis_type():
+    rng = random.Random(98)
+    types = 0
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for k in range(4):
+                for t in enumerate_basis(n, m, k):
+                    _assert_collapse_matches_the_oracle(to_ribbon(random_weights(rng, t)))
+                    types += 1
+    assert types > 3000
+
+
+def test_collapse_matches_the_oracle_on_random_elements():
+    rng = random.Random(99)
+    done = 0
+    while done < 200:
+        x = random_ws(rng, max_n=3, max_m=3, max_degree=3)
+        if x.m >= 1:
+            _assert_collapse_matches_the_oracle(to_ribbon(x))
+            done += 1
+
+
+def _random_ribbon(rng):
+    """Random edges among boundary and interior vertices, random rotations.
+
+    Unlike the ribbon graph of a canonical form, an interior vertex may
+    have several collapsible edges here, so the order of contraction
+    matters, and a contracted half may sit anywhere in its rotation."""
+    rg = RibbonGraph()
+    boundary = [rg.add_vertex(("b", i), tag=("in", i)) for i in range(rng.randint(1, 3))]
+    interior = [rg.add_vertex(("x", i)) for i in range(rng.randint(1, 5))]
+    for b in boundary:
+        rg.add_edge(b, b, kind="circle")
+    for _ in range(rng.randint(1, 10)):
+        rg.add_edge(rng.choice(boundary + interior), rng.choice(boundary + interior),
+                    weight=F(rng.randint(0, 4), 4))
+    for rot in rg.rotation.values():
+        rng.shuffle(rot)
+    return rg
+
+
+def test_collapse_matches_the_oracle_on_random_ribbon_graphs():
+    rng = random.Random(100)
+    for _ in range(500):
+        _assert_collapse_matches_the_oracle(_random_ribbon(rng))
+
+
+def test_collapse_contracts_the_smallest_collapsible_edge_first():
+    rg = RibbonGraph()
+    rg.add_vertex("in", tag=("in", 0))
+    rg.add_vertex("out", tag=("out", 0))
+    rg.add_vertex("x")
+    first = rg.add_edge("in", "x")
+    rg.add_edge("x", "out")
+    assert collapsible_edges(rg) == [first, first + 1]
+    collapsed = collapse_edges(rg)
+    assert set(collapsed.rotation) == {"in", "out"}
+    assert collapsed.edges == {first + 1: rg.edges[first + 1]}
+    assert collapsed.at[rg.edges[first + 1]["tail"]] == "in"
+
+
+def test_half_edge_map_follows_edits():
+    x = uniform_weights(SurjType(1, 2, ((1, 2, 1),)))
+    rg = collapse_edges(to_ribbon(x))
+    for e, data in rg.edges.items():
+        assert rg.edge_of_half(data["tail"]) == rg.edge_of_half(data["head"]) == e
+    e = arc_edges_in_position_order(rg)[0]
+    gone = rg.edges[e]["tail"]
+    rg2 = remove_arc(rg, e)
+    assert rg.edge_of_half(gone) == e
+    with pytest.raises(InternalError):
+        rg2.edge_of_half(gone)

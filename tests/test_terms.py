@@ -1,8 +1,15 @@
-import pytest
+import ast
+import pathlib
+import random
+import re
 from fractions import Fraction
 
-from propcalc.errors import CompositionError, ParseError
-from propcalc.graphs import iso_equal, permutation_graph, unit
+import pytest
+
+from propcalc.errors import CompositionError, GraphError, ParseError
+from propcalc.generators import corolla
+from propcalc.graphs import (GraphTerm, horizontal_compose, iso_equal, permutation_graph,
+                             unit, vertical_compose)
 from propcalc.terms import parse
 
 
@@ -77,3 +84,275 @@ def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError):
         parse("(" * 2000 + "id" + ")" * 2000)
     assert parse("(" * 50 + "delta" + ")" * 50).biarity == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the atom-by-atom, left-fold parser that `parse` replaced
+
+_OLD_TOKEN = re.compile(r"\s*(mu|h|id|eps|delta|swap|sigma|tau|\d+|[();|\[\],/])")
+
+
+def _old_tokenize(text):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _OLD_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+class _OldParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _old_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def take(self, expected=None):
+        if self.i >= len(self.tokens):
+            raise ParseError(f"unexpected end of term {self.text!r}")
+        tok, pos = self.tokens[self.i]
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r} at position {pos}, got {tok!r}")
+        self.i += 1
+        return tok
+
+    def integer(self, what="an integer"):
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"expected {what}, got {tok!r}")
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError(f"integer of {len(tok)} digits is too long") from None
+
+    def rational(self):
+        num = self.integer("a rational")
+        if self.peek() == "/":
+            self.take("/")
+            den = self.integer("a denominator")
+            if den == 0:
+                raise ParseError("zero denominator")
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def int_list(self):
+        self.take("[")
+        items = [self.integer()]
+        while self.peek() == ",":
+            self.take(",")
+            items.append(self.integer())
+        self.take("]")
+        return items
+
+    def atom(self):
+        tok = self.take()
+        if tok == "id":
+            return unit(1)
+        if tok == "eps":
+            return corolla("eps")
+        if tok == "delta":
+            return corolla("delta")
+        if tok == "mu":
+            self.take("(")
+            s = self.rational()
+            self.take(")")
+            return corolla("mu", (s,))
+        if tok == "h":
+            self.take("(")
+            s = self.rational()
+            self.take(")")
+            return corolla("phi", (s,))
+        if tok == "swap":
+            return permutation_graph((2, 1))
+        if tok in ("sigma", "tau"):
+            return permutation_graph(tuple(self.int_list()))
+        if tok == "(":
+            t = self.term()
+            self.take(")")
+            return t
+        raise ParseError(f"unexpected token {tok!r}")
+
+    def par(self):
+        parts = [self.atom()]
+        while self.peek() == "|":
+            self.take("|")
+            parts.append(self.atom())
+        return parts[0] if len(parts) == 1 else horizontal_compose(parts)
+
+    def term(self):
+        t = self.par()
+        while self.peek() == ";":
+            self.take(";")
+            t = vertical_compose(t, self.par())
+        return t
+
+
+def old_parse(text):
+    p = _OldParser(text)
+    try:
+        t = p.term()
+    except RecursionError:
+        raise ParseError("term nested too deeply") from None
+    if p.i != len(p.tokens):
+        tok, pos = p.tokens[p.i]
+        raise ParseError(f"trailing input {tok!r} at position {pos}")
+    return t
+
+
+def _outcome(parser, text):
+    """The parsed term, or the type of the error (and the text of a
+    CompositionError, whose wording is kept)."""
+    try:
+        return parser(text)
+    except CompositionError as exc:
+        return CompositionError, str(exc)
+    except (ParseError, GraphError) as exc:
+        return type(exc)
+
+
+def _assert_same_as_oracle(text):
+    new = _outcome(parse, text)
+    assert new == _outcome(old_parse, text), text
+    return isinstance(new, GraphTerm)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _literal_strings():
+    """Every string constant in the test files and in verify.py."""
+    paths = sorted((_ROOT / "tests").glob("test_*.py")) + [_ROOT / "src/propcalc/verify.py"]
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return sorted(found)
+
+
+def test_parse_matches_the_oracle_on_every_literal_term():
+    texts = _literal_strings()
+    texts += [f"{t} ; delta ; (delta | id)" for t in ("mu(1/7)", "mu(1/2)", "mu(5/6)")]
+    texts += [f"delta ; {t} ; delta" for t in ("mu(1/7)", "mu(1/2)", "mu(5/6)")]
+    parsed = sum(_assert_same_as_oracle(t) for t in texts)
+    assert parsed >= 40
+
+
+def _param(rng):
+    q = rng.randint(1, 9)
+    return rng.choice(["0", "1", f"{rng.randint(0, q)}/{q}", f"{rng.randint(0, 1)}"])
+
+
+def _random_layer(rng, width, depth):
+    """A random layer on `width` strands: its text and its output count."""
+    atoms = []
+    out = 0
+    while width:
+        r = rng.random()
+        if depth and r < 0.12:
+            k = rng.randint(1, min(width, 3))
+            inner, m = _random_term(rng, k, depth - 1)
+            atoms.append("(" + inner + ")")
+        elif r < 0.3:
+            k = rng.randint(1, min(width, 4))
+            image = list(range(1, k + 1))
+            rng.shuffle(image)
+            atoms.append(f"{rng.choice(['sigma', 'tau'])}[{','.join(map(str, image))}]")
+            m = k
+        elif r < 0.38 and width >= 2:
+            atoms.append("swap")
+            k = m = 2
+        elif r < 0.55:
+            atoms.append("id")
+            k = m = 1
+        elif r < 0.62:
+            atoms.append("eps")
+            k, m = 1, 0
+        elif r < 0.72 and out < 6:
+            atoms.append("delta")
+            k, m = 1, 2
+        elif r < 0.86 and width >= 2:
+            atoms.append(f"mu({_param(rng)})")
+            k, m = 2, 1
+        else:
+            atoms.append(f"h({_param(rng)})")
+            k = m = 1
+        width -= k
+        out += m
+    return rng.choice([" | ", "|", "  |\n"]).join(atoms), out
+
+
+def _random_term(rng, width, depth):
+    """A random well-typed term on `width` inputs: its text and its output count."""
+    layers = []
+    for _ in range(rng.randint(1, 6)):
+        text, width = _random_layer(rng, width, depth)
+        layers.append(text)
+        if width == 0:
+            break
+    text = rng.choice([" ; ", ";", "\n; "]).join(layers)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        text = "(" + text + ")"
+    return text, width
+
+
+def test_parse_matches_the_oracle_on_random_terms():
+    rng = random.Random(41)
+    for _ in range(400):
+        text, _ = _random_term(rng, rng.randint(1, 4), depth=2)
+        assert _assert_same_as_oracle(text), text
+
+
+def test_parse_matches_the_oracle_on_mutated_terms():
+    """Swapping an atom for one of another arity, or deleting or duplicating
+    a token, makes arity mismatches (nested ones too), parse errors and
+    errors that come after a mismatch; each must come out the same way."""
+    rng = random.Random(42)
+    simple = ["id", "eps", "delta", "swap"]
+    for _ in range(600):
+        text, _ = _random_term(rng, rng.randint(1, 3), depth=2)
+        tokens = _OLD_TOKEN.findall(text)
+        atoms = [k for k, tok in enumerate(tokens) if tok in simple]
+        r = rng.random()
+        if r < 0.5 and atoms:
+            tokens[rng.choice(atoms)] = rng.choice(simple)
+        elif r < 0.75:
+            del tokens[rng.randrange(len(tokens))]
+        else:
+            tokens.insert(rng.randrange(len(tokens)),
+                          rng.choice(tokens + [";", "|", "(", ")", "delta"]))
+        _assert_same_as_oracle(" ".join(tokens))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("delta ; delta", CompositionError),
+    ("id | (delta ; delta) ; mu(1/2)", CompositionError),
+    ("(delta ; (id | delta) ; mu(1/3)) ; id", CompositionError),
+    ("delta ; delta ; mu(3/2)", CompositionError),
+    ("delta ; delta ; (id", CompositionError),
+    ("delta ; delta ;", CompositionError),
+    ("delta ; mu(1/2) ; sigma[1,1]", GraphError),
+    ("mu(3/2) ; delta ; delta", GraphError),
+    ("delta ; (id | delta) ; (mu(1/3) | id", ParseError),
+    ("delta ; (id | delta) frob", ParseError),
+], ids=["mismatch", "nested-mismatch", "mismatch-below-nested",
+        "range-error-after-mismatch", "paren-after-mismatch", "end-after-mismatch",
+        "permutation-error", "range-error-before-mismatch", "unclosed", "bad-character"])
+def test_errors_match_the_oracle(text, error):
+    with pytest.raises(error):
+        parse(text)
+    assert _outcome(parse, text) == _outcome(old_parse, text)
+
+
+def test_mismatch_message_names_the_term_above():
+    with pytest.raises(CompositionError,
+                       match=re.escape("cannot compose (1,3) above (2,1)")):
+        parse("delta ; (id | delta) ; mu(1/2)")
