@@ -25,8 +25,7 @@ from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import CompositionError, GraphError, InternalError
-from .graphs import (GraphTerm, Permutation, require_valid, targets_by_source,
-                     topological_order)
+from .graphs import GraphTerm, Permutation, plan_of
 from .surjections import SurjType, expand_graph, normalize, uniform_weights
 
 
@@ -264,15 +263,14 @@ def chain_eval(g: GraphTerm) -> ChainElement:
     """Class of a term in the chain prop; every parametrized vertex
     contributes its whole generating cell, and the counit homotopy is sent
     to zero (its image cell is degenerate)."""
-    require_valid(g)
-    by_source = targets_by_source(g)
+    plan = plan_of(g)
     degree = sum(_GEN_DEGREE[v.kind] for v in g.vertices)
     if any(v.kind == "phi" for v in g.vertices):
         return ChainElement.zero(g.n, g.m, degree)
 
-    wires = [by_source[("in", i)] for i in range(g.n)]  # edge ids = dst endpoints
+    wires = [plan.tgt[("in", i)] for i in range(g.n)]  # edge ids = dst endpoints
     state = ChainElement.of(identity_type(g.n))
-    for v in topological_order(g):
+    for v in plan.order:
         vert = g.vertices[v]
         ins = [("vi", v, k) for k in range(vert.arity[0])]
         others = [wb for wb in wires if wb not in ins]
@@ -289,7 +287,7 @@ def chain_eval(g: GraphTerm) -> ChainElement:
         layer = horizontal_chain(
             layer, ChainElement.of(identity_type(len(new_wires) - cut - len(ins))))
         state = chain_compose(state, layer)
-        outs = [by_source[("vo", v, k)] for k in range(vert.arity[1])]
+        outs = [plan.tgt[("vo", v, k)] for k in range(vert.arity[1])]
         wires = new_wires[:cut] + outs + new_wires[cut + len(ins):]
 
     tau = Permutation(tuple(dst[1] + 1 for dst in wires))
@@ -420,11 +418,6 @@ def tensor_boundary(tensors) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # cochain operations on a simplicial complex
-
-def evaluate_pairing(cochains, tensor):
-    """Evaluate a tuple of cochains (sets of faces) against a face tuple."""
-    return all(face in cochain for cochain, face in zip(cochains, tensor))
-
 
 def cup_i(i: int, a: frozenset, b: frozenset, complex_) -> frozenset:
     """The degree-i binary operation dual to the alternating (1,2) cell.

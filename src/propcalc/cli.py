@@ -200,7 +200,11 @@ def _dispatch(args) -> int:
         g = parse_term(args.term)
         points = tuple(parse_point(text) for text in args.point)
         outs = eval_term(g, points, d=args.d)
-        print(", ".join(str(p) for p in outs))
+        try:
+            text = ", ".join(str(p) for p in outs)
+        except ValueError:  # an int past the limit of int-to-text conversion
+            raise PropcalcError("a result coordinate has too many digits to print") from None
+        print(text)
         return 0
 
     if cmd == "act":

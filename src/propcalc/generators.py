@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GraphError, WeightingError
-from .graphs import (GraphTerm, Vertex, Wiring, horizontal_compose, require_valid,
-                     sources_by_target, targets_by_source, topological_order, unit,
+from .graphs import (GraphTerm, Vertex, Wiring, horizontal_compose, plan_of, unit,
                      vertical_compose)
 
 # prop tags selecting which relation set applies
@@ -74,7 +73,6 @@ def apply_attaching(g: GraphTerm, tag: str = S_TILDE) -> GraphTerm:
     order replaces them all.
     """
     check_tag(g, tag)
-    require_valid(g)
     work = Wiring.from_term(g)
     for v, vert in enumerate(g.vertices):
         if vert.kind not in ("mu", "phi") or vert.params[0] not in (0, 1):
@@ -113,7 +111,6 @@ def apply_relations_S(g: GraphTerm, tag: str = S) -> GraphTerm:
     the rewrite deterministic; confluence is checked separately by tests.
     """
     check_tag(g, tag)
-    require_valid(g)
     work = Wiring.from_term(g)
     kind = work.kind
 
@@ -187,8 +184,9 @@ class EdgeWeighting:
 
     def check(self, strict_outputs: bool = True):
         g = self.graph
+        plan = plan_of(g)
         problems = []
-        for src, dst in g.edges:
+        for dst, src in plan.src.items():
             w = self.weights.get((src, dst))
             if w is None:
                 problems.append(f"edge {src}->{dst} has no weight")
@@ -203,8 +201,10 @@ class EdgeWeighting:
             return problems
         for v, vert in enumerate(g.vertices):
             a, b = vert.arity
-            inflow = sum(self.weights[e] for e in g.edges if e[1][:2] == ("vi", v))
-            outflow = sum(self.weights[e] for e in g.edges if e[0][:2] == ("vo", v))
+            inflow = sum(self.weights[(plan.src[("vi", v, k)], ("vi", v, k))]
+                         for k in range(a))
+            outflow = sum(self.weights[(("vo", v, k), plan.tgt[("vo", v, k)])]
+                          for k in range(b))
             if vert.kind != "eps" and inflow != outflow:
                 problems.append(f"vertex {v} ({vert.kind}): inflow {inflow} != outflow {outflow}")
         return problems
@@ -223,27 +223,19 @@ def to_edge_weights(g: GraphTerm) -> EdgeWeighting:
     weight a puts (1-s)a on its first input and s*a on the second; counit
     edges weigh 0.  Total on acyclic graphs.
     """
-    require_valid(g)
+    plan = plan_of(g)
     if any(v.kind == "phi" for v in g.vertices):
         raise GraphError("edge weights are defined on the counital presentation only")
-    by_source = targets_by_source(g)
-    by_target = sources_by_target(g)
-    order = list(topological_order(g))
 
-    weights = {}
-    for src, dst in g.edges:
-        if dst[0] == "out":
-            weights[(src, dst)] = Fraction(1)
-        elif g.vertices[dst[1]].kind == "eps":
-            weights[(src, dst)] = Fraction(0)
-
-    for v in reversed(order):
+    weights = {(plan.src[("out", j)], ("out", j)): Fraction(1) for j in range(g.m)}
+    for v in reversed(plan.order):
         vert = g.vertices[v]
+        ins = [(plan.src[("vi", v, k)], ("vi", v, k)) for k in range(vert.arity[0])]
         if vert.kind == "eps":
+            weights[ins[0]] = Fraction(0)
             continue
-        outs = [(("vo", v, k), by_source[("vo", v, k)]) for k in range(vert.arity[1])]
-        out_w = [weights[e] for e in outs]
-        ins = [(by_target[("vi", v, k)], ("vi", v, k)) for k in range(vert.arity[0])]
+        out_w = [weights[(("vo", v, k), plan.tgt[("vo", v, k)])]
+                 for k in range(vert.arity[1])]
         if vert.kind == "delta":
             weights[ins[0]] = out_w[0] + out_w[1]
         elif vert.kind == "mu":
@@ -265,16 +257,15 @@ def from_edge_weights(g: GraphTerm, weighting: EdgeWeighting):
     relations identify all such parameters anyway.
     """
     weighting.require(strict_outputs=True)
-    by_source = targets_by_source(g)
-    by_target = sources_by_target(g)
+    plan = plan_of(g)
     new_vertices = []
     flagged = set()
     for v, vert in enumerate(g.vertices):
         if vert.kind != "mu":
             new_vertices.append(vert)
             continue
-        a = weighting.weights[(("vo", v, 0), by_source[("vo", v, 0)])]
-        w2 = weighting.weights[(by_target[("vi", v, 1)], ("vi", v, 1))]
+        a = weighting.weights[(("vo", v, 0), plan.tgt[("vo", v, 0)])]
+        w2 = weighting.weights[(plan.src[("vi", v, 1)], ("vi", v, 1))]
         if a == 0:
             flagged.add(v)
             s = Fraction(0)

@@ -8,20 +8,25 @@ or a vertex input slot.  Every port and every slot is the endpoint of
 exactly one edge; a through-strand wires an input port straight to an
 output port, so identity elements need no vertices.
 
-Terms are immutable values; every operation returns a fresh term.  Every
-graph rewrite (the attaching maps, the relations, the normalizer's passes
-and `absorb_equivalences`) edits a `Wiring`, the one mutable form of a
-term, and exports it back with `Wiring.to_term`.  Every traversal in
-dependency order walks `topological_order`.
+Terms are immutable values; every operation returns a fresh term.  The
+first `validate` that finds a term valid stores the term's `Plan` on it,
+written once and read-only: the source feeding each target endpoint, the
+target fed by each source, and the default topological order.  Every
+traversal reads the plan instead of the edge set, and a later `validate`
+of the term returns at once.  Every graph rewrite (the attaching maps, the
+relations, the normalizer's passes and `absorb_equivalences`) edits a
+`Wiring`, the one mutable form of a term, and exports it back with
+`Wiring.to_term`.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import CompositionError, GraphError
 
@@ -60,11 +65,23 @@ class Vertex:
 
 
 @dataclass(frozen=True)
+class Plan:
+    """The incidence of a valid term: read-only maps from each edge's target
+    endpoint to its source (`src`) and back (`tgt`), and the default `order`."""
+
+    src: Mapping
+    tgt: Mapping
+    order: tuple
+
+
+@dataclass(frozen=True)
 class GraphTerm:
     n: int
     m: int
     vertices: tuple
     edges: frozenset
+    # set once, by the first `validate` that finds the term valid
+    _plan: Plan = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def biarity(self):
@@ -72,6 +89,10 @@ class GraphTerm:
 
     def __repr__(self):
         return f"GraphTerm(n={self.n}, m={self.m}, |V|={len(self.vertices)}, |E|={len(self.edges)})"
+
+    def __reduce__(self):
+        # a copy is a fresh value; it rebuilds its plan when validated
+        return (GraphTerm, (self.n, self.m, self.vertices, self.edges))
 
 
 @dataclass(frozen=True)
@@ -111,59 +132,17 @@ class Permutation:
 
 
 # ---------------------------------------------------------------------------
-# incidence helpers
+# incidence plan and validation
 
-def sources_by_target(g: GraphTerm) -> dict:
-    """Map each edge target endpoint to its unique source."""
-    out = {}
-    for src, dst in g.edges:
-        if dst in out:
-            raise GraphError(f"target endpoint {dst} wired twice")
-        out[dst] = src
-    return out
-
-
-def targets_by_source(g: GraphTerm) -> dict:
-    out = {}
-    for src, dst in g.edges:
-        if src in out:
-            raise GraphError(f"source endpoint {src} wired twice")
-        out[src] = dst
-    return out
-
-
-def _vertex_sources(g, by_target):
-    """For each vertex, the list of source endpoints feeding its input slots."""
-    srcs = []
-    for v, vert in enumerate(g.vertices):
-        a, _ = vert.arity
-        row = []
-        for k in range(a):
-            ep = ("vi", v, k)
-            if ep not in by_target:
-                raise GraphError(f"dangling input slot {k} of vertex {v} ({vert.kind})")
-            row.append(by_target[ep])
-        srcs.append(row)
-    return srcs
-
-
-def topological_order(g: GraphTerm, key=None):
-    """Yield the vertex indices of g in dependency order (Kahn over in-degrees).
-
-    Of the ready vertices, the one with the smallest key(v) comes next; the
-    default key is the index.  A vertex's key is computed once, when its
-    last predecessor has been yielded, so it may depend on the vertices
-    yielded before it.  Raises GraphError when a directed cycle leaves
-    vertices unplaced.
-    """
-    indegree = [0] * len(g.vertices)
-    successors = [[] for _ in g.vertices]
-    for src, dst in g.edges:
-        if src[0] == "vo" and dst[0] == "vi":
+def _kahn(nverts, src, key):
+    """Yield 0..nverts-1 in dependency order under the target -> source map
+    `src`, the ready vertex with the smallest key(v) first."""
+    indegree = [0] * nverts
+    successors = [[] for _ in range(nverts)]
+    for dst, s in src.items():
+        if s[0] == "vo" and dst[0] == "vi":
             indegree[dst[1]] += 1
-            successors[src[1]].append(dst[1])
-    if key is None:
-        key = int
+            successors[s[1]].append(dst[1])
     ready = [(key(v), v) for v, d in enumerate(indegree) if d == 0]
     heapq.heapify(ready)
     placed = 0
@@ -175,57 +154,53 @@ def topological_order(g: GraphTerm, key=None):
             indegree[u] -= 1
             if indegree[u] == 0:
                 heapq.heappush(ready, (key(u), u))
-    if placed < len(indegree):
+    if placed < nverts:
         raise GraphError("directed cycle through vertices "
                          + str([v for v, d in enumerate(indegree) if d]))
 
 
 def validate(g: GraphTerm) -> list:
-    """Return a list of violation strings; empty means the term is valid."""
-    problems = []
-    try:
-        by_target = sources_by_target(g)
-        by_source = targets_by_source(g)
-    except GraphError as exc:
-        return [str(exc)]
+    """Return a list of violation strings; empty means the term is valid.
 
-    expected_targets = set()
-    expected_sources = set()
-    for j in range(g.m):
-        expected_targets.add(("out", j))
-    for i in range(g.n):
-        expected_sources.add(("in", i))
+    A valid term gets its plan here, once; a term that has one is valid.
+    """
+    if g._plan is not None:
+        return []
+    src = {}
+    for s, dst in g.edges:
+        if dst in src:
+            return [f"target endpoint {dst} wired twice"]
+        src[dst] = s
+    tgt = {}
+    for dst, s in src.items():
+        if s in tgt:
+            return [f"source endpoint {s} wired twice"]
+        tgt[s] = dst
+
+    expected_targets = {("out", j) for j in range(g.m)}
+    expected_sources = {("in", i) for i in range(g.n)}
     for v, vert in enumerate(g.vertices):
         a, b = vert.arity
-        for k in range(a):
-            expected_targets.add(("vi", v, k))
-        for k in range(b):
-            expected_sources.add(("vo", v, k))
-
-    if set(by_target) != expected_targets:
-        missing = expected_targets - set(by_target)
-        extra = set(by_target) - expected_targets
+        expected_targets.update(("vi", v, k) for k in range(a))
+        expected_sources.update(("vo", v, k) for k in range(b))
+    problems = []
+    for found, expected, what in ((src, expected_targets, "targets"),
+                                  (tgt, expected_sources, "sources")):
+        missing = expected - found.keys()
+        extra = found.keys() - expected
         if missing:
-            problems.append(f"unwired targets: {sorted(missing)}")
+            problems.append(f"unwired {what}: {sorted(missing)}")
         if extra:
-            problems.append(f"bad slot arity, unexpected targets: {sorted(extra)}")
-    if set(by_source) != expected_sources:
-        missing = expected_sources - set(by_source)
-        extra = set(by_source) - expected_sources
-        if missing:
-            problems.append(f"unwired sources: {sorted(missing)}")
-        if extra:
-            problems.append(f"bad slot arity, unexpected sources: {sorted(extra)}")
+            problems.append(f"bad slot arity, unexpected {what}: {sorted(extra)}")
     if problems:
         return problems
 
-    # acyclicity by Kahn's algorithm over vertices
     try:
-        for _ in topological_order(g):
-            pass
+        order = tuple(_kahn(len(g.vertices), src, int))
     except GraphError as exc:
-        problems.append(str(exc))
-    return problems
+        return [str(exc)]
+    object.__setattr__(g, "_plan", Plan(MappingProxyType(src), MappingProxyType(tgt), order))
+    return []
 
 
 def require_valid(g: GraphTerm):
@@ -233,6 +208,35 @@ def require_valid(g: GraphTerm):
     if problems:
         raise GraphError("; ".join(problems))
     return g
+
+
+def plan_of(g: GraphTerm) -> Plan:
+    """The plan of g, which `require_valid` checks (and builds on first use)."""
+    return require_valid(g)._plan
+
+
+def sources_by_target(g: GraphTerm) -> Mapping:
+    """Map each edge target endpoint to its unique source."""
+    return plan_of(g).src
+
+
+def targets_by_source(g: GraphTerm) -> Mapping:
+    """Map each edge source endpoint to its unique target."""
+    return plan_of(g).tgt
+
+
+def topological_order(g: GraphTerm, key=None):
+    """Iterate over the vertex indices of the valid term g in dependency order.
+
+    Of the ready vertices, the one with the smallest key(v) comes next; the
+    default key is the index, whose order the plan holds.  A vertex's key
+    is computed once, when its last predecessor has been yielded, so it may
+    depend on the vertices yielded before it.
+    """
+    plan = plan_of(g)
+    if key is None:
+        return iter(plan.order)
+    return _kahn(len(g.vertices), plan.src, key)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +336,7 @@ def canonical_form(g: GraphTerm):
     then kind and parameters).  Distinct ready vertices always differ in
     their source sets, so the numbering is unique and iso-invariant.
     """
-    srcs = _vertex_sources(g, sources_by_target(g))
+    src = plan_of(g).src
     order = {}
 
     def endpoint_id(ep):
@@ -342,7 +346,8 @@ def canonical_form(g: GraphTerm):
 
     def signature(v):
         vert = g.vertices[v]
-        return (tuple(endpoint_id(s) for s in srcs[v]), vert.kind, vert.params)
+        return (tuple(endpoint_id(src[("vi", v, k)]) for k in range(vert.arity[0])),
+                vert.kind, vert.params)
 
     for v in topological_order(g, key=signature):
         order[v] = len(order)
@@ -356,7 +361,7 @@ def canonical_form(g: GraphTerm):
             return ep
         return (ep[0], order[ep[1]], ep[2])
 
-    edges = sorted((canon_ep(s), canon_ep(d)) for s, d in g.edges)
+    edges = sorted((canon_ep(s), canon_ep(d)) for d, s in src.items())
     return (g.n, g.m, tuple(verts), tuple(edges))
 
 
@@ -391,12 +396,15 @@ class Wiring:
 
     @classmethod
     def from_term(cls, g: GraphTerm, weights=None):
-        """Open g; `weights` maps each edge (src, dst) to its label."""
+        """Open a copy of the valid term g; `weights` maps each edge
+        (src, dst) to its label."""
+        plan = plan_of(g)
         work = cls(g.n, g.m)
         for vert in g.vertices:
             work.new_vertex(vert.kind, vert.params)
-        for src, dst in g.edges:
-            work.add_edge(src, dst, None if weights is None else weights[(src, dst)])
+        work.src, work.tgt = dict(plan.src), dict(plan.tgt)
+        work.w = (dict.fromkeys(plan.src) if weights is None
+                  else {dst: weights[(s, dst)] for dst, s in plan.src.items()})
         return work
 
     def add_edge(self, s, d, w=None):

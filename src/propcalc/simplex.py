@@ -11,11 +11,12 @@ against a tolerance.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphError, ParseError
-from .graphs import GraphTerm, require_valid, targets_by_source, topological_order
+from .graphs import GraphTerm, plan_of, require_valid
 from .generators import term_degree
 
 
@@ -45,13 +46,33 @@ class SimplexPoint:
         return "(" + ",".join(str(x) for x in self.coords) + ")"
 
 
+# CPython's default limit on the digits of an int converted to or from text
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*$")
+
+
+def _digit_bound(tok):
+    """A bound on the digits of the numerator and of the denominator of
+    Fraction(tok), read off the text without building the number."""
+    if "/" in tok:
+        return max(sum(c.isdigit() for c in part) for part in tok.split("/"))
+    m = _EXPONENT.search(tok)
+    if m is None:
+        return sum(c.isdigit() for c in tok) + 1
+    if len(m.group(1)) > len(str(MAX_DIGITS)):
+        return MAX_DIGITS + 1
+    return sum(c.isdigit() for c in tok[:m.start()]) + int(m.group(1)) + 1
+
+
 def parse_point(text: str) -> SimplexPoint:
     """A point given as comma-separated coordinates, each a rational or a decimal."""
     text = text.strip()
     if not text:
         return SimplexPoint(())
     coords = []
-    for tok in text.split(","):
+    for k, tok in enumerate(text.split(","), start=1):
+        if _digit_bound(tok) > MAX_DIGITS:
+            raise ParseError(f"point coordinate {k} needs more than {MAX_DIGITS} digits")
         try:
             coords.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
@@ -106,7 +127,7 @@ def eval_generator(kind, s, points):
 
 def eval_term(g: GraphTerm, points, d=None):
     """Evaluate a term by topological order; returns the output tuple."""
-    require_valid(g)
+    plan = plan_of(g)
     points = tuple(points)
     if len(points) != g.n:
         raise GraphError(f"term has {g.n} inputs, got {len(points)} points")
@@ -114,15 +135,14 @@ def eval_term(g: GraphTerm, points, d=None):
         for p in points:
             if p.d != d:
                 raise GraphError(f"point {p} does not live in dimension {d}")
-    by_source = targets_by_source(g)
-    value = {by_source[("in", i)]: p for i, p in enumerate(points)}  # dst endpoint -> point
-    for v in topological_order(g):
+    value = {plan.tgt[("in", i)]: p for i, p in enumerate(points)}  # dst endpoint -> point
+    for v in plan.order:
         vert = g.vertices[v]
         s = vert.params[0] if vert.params else None
         outs = eval_generator(vert.kind, s,
                               tuple(value[("vi", v, k)] for k in range(vert.arity[0])))
         for k, out in enumerate(outs):
-            value[by_source[("vo", v, k)]] = out
+            value[plan.tgt[("vo", v, k)]] = out
     return tuple(value[("out", j)] for j in range(g.m))
 
 

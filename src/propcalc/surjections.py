@@ -17,7 +17,6 @@ those cells.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -705,20 +704,8 @@ def expand_graph(x: WeightedSurjection) -> GraphTerm:
     for p, f in enumerate(flat):
         by_output.setdefault(f, []).append(p)
     for j in range(1, x.m + 1):
-        ps = by_output[j]
-        if len(ps) == 1:
-            work.add_edge(strand_src[ps[0]], ("out", j - 1), Fraction(1))
-            continue
-        mus = [work.new_vertex("mu") for _ in range(len(ps) - 1)]
-        work.add_edge(strand_src[ps[0]], ("vi", mus[0], 0), strand_w[ps[0]])
-        running = strand_w[ps[0]]
-        for t, p in enumerate(ps[1:]):
-            work.add_edge(strand_src[p], ("vi", mus[t], 1), strand_w[p])
-            running += strand_w[p]
-            if t + 1 < len(mus):
-                work.add_edge(("vo", mus[t], 0), ("vi", mus[t + 1], 0), running)
-            else:
-                work.add_edge(("vo", mus[t], 0), ("out", j - 1), Fraction(1))
+        work._build_comb([(strand_src[p], strand_w[p]) for p in by_output[j]],
+                         ("out", j - 1), Fraction(1))
     return work.to_graph()
 
 

@@ -15,12 +15,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import chains, complexes, generators, graphs, simplex, sset, surfaces
-from .surjections import (WeightedSurjection, canonicalize_ws,
-                          cap_output_ws, compose_weighted, counit_class,
-                          enumerate_basis, expand_graph, equal_ms, identity_ws,
-                          normalize, permute_inputs_ws, permute_outputs_ws,
-                          random_interior, random_stype, random_sterm,
-                          random_weights, random_ws, shuffle_relations)
+from .surjections import (canonicalize_ws, enumerate_basis, equal_ms, normalize,
+                          permute_inputs_ws, permute_outputs_ws, random_interior,
+                          random_stype, random_sterm, random_weights, random_ws,
+                          uniform_weights)
 from .terms import parse
 
 DEFAULT_SEED = 0
@@ -441,10 +439,7 @@ def crit9_symmetry(seed=DEFAULT_SEED):
         perms = [p for p in _permutations(m) if p != tuple(range(1, m + 1))]
         for k in range(0, 4):
             for t in enumerate_basis(1, m, k):
-                x = WeightedSurjection(
-                    t.n, t.m, t.blocks,
-                    tuple(tuple(Fraction(1, t.output_counts()[f - 1]) for f in blk)
-                          for blk in t.blocks))
+                x = uniform_weights(t)
                 for p in perms:
                     if permute_outputs_ws(x, graphs.Permutation(p)) == x:
                         failures.append(("fixed", t, p))

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -178,3 +179,27 @@ def test_eval_rejects_bad_points(capsys, point, message):
     assert run(["eval", "--term", "delta", "--point", point]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("point", ["1e-5000", "1e-3000000", "1e99999999999",
+                                   "1/" + "7" * 4301],
+                         ids=["1e-5000", "1e-3000000", "1e99999999999", "4301-digit-denominator"])
+def test_eval_rejects_a_coordinate_too_long_to_print_before_building_it(capsys, point):
+    start = time.perf_counter()
+    assert run(["eval", "--term", "id", "--point", point]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("error: point coordinate 1 needs more than")
+
+
+def test_eval_prints_a_long_coordinate_within_the_limit(capsys):
+    assert run(["eval", "--term", "id", "--point", "1e-4000"]) == 0
+    assert capsys.readouterr().out.strip() == "(1/1" + "0" * 4000 + ")"
+
+
+def test_eval_reports_a_result_too_long_to_print(capsys):
+    # each denominator fits the limit, their product in the mu combination does not
+    x, y = "1/" + str(3 ** 9000), "1/" + str(7 ** 5000)
+    assert run(["eval", "--term", "mu(1/2)", "--point", x, "--point", y]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: a result coordinate has too many digits to print"

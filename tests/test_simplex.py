@@ -199,3 +199,19 @@ def test_attaching_maps_keep_the_evaluation():
 def test_parse_point_rejects_bad_coordinates(text):
     with pytest.raises(ParseError, match="bad coordinate"):
         parse_point(text)
+
+
+@pytest.mark.parametrize("text", [
+    "." + "0" * 4299 + "1",  # denominator 10^4300 has 4301 digits
+    "0.5e-4300",
+    "1/" + "3" * 4301,
+    "1e-" + "9" * 5000,
+], ids=["4300-decimals", "0.5e-4300", "4301-digit-denominator", "5000-digit-exponent"])
+def test_parse_point_rejects_coordinates_past_the_digit_limit(text):
+    with pytest.raises(ParseError, match="needs more than 4300 digits"):
+        parse_point(text)
+
+
+def test_parse_point_keeps_long_coordinates_within_the_digit_limit():
+    assert parse_point("1e-4298").coords == (F(1, 10 ** 4298),)
+    assert parse_point("1/" + "3" * 4300).coords == (F(1, int("3" * 4300)),)
