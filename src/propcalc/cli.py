@@ -28,7 +28,6 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="propcalc",
                                  description="calculator for finitely presented "
                                              "E-infinity props")
-    ap.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a term, validate, print it")
@@ -73,8 +72,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("--only", default=None,
                    help="comma-separated criterion numbers")
-    p.add_argument("--seed", type=int, dest="seed",
-                   default=argparse.SUPPRESS, help="suite seed")
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
+                   help="suite seed")
 
     p = sub.add_parser("export", help="export a term (json or dot)")
     p.add_argument("term")
@@ -156,7 +155,12 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_dash_values(argv))
     try:
-        return _dispatch(args)
+        if args.command == "verify":
+            only = _criteria(args.only) if args.only else None
+            results = verify.run_all(seed=args.seed, only=only)
+            return 0 if all(r.passed for r in results) else 2
+        print(_output(args))
+        return 0
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
@@ -165,47 +169,44 @@ def run(argv=None) -> int:
         return 1
 
 
-def _print_ws(x: WeightedSurjection, fmt):
-    if fmt == "json":
-        print(x.to_json())
-    else:
-        print(x.text())
+def _output(args) -> str:
+    """The whole text a command prints, written out before any of it is printed."""
+    try:
+        return _render(args)
+    except ValueError as exc:
+        # an exact result whose integers exceed the int-to-text conversion limit
+        if "integer string conversion" not in str(exc):
+            raise
+        raise PropcalcError("a result coordinate has too many digits to print") from None
 
 
-def _dispatch(args) -> int:
+def _ws_text(x: WeightedSurjection, fmt):
+    return x.to_json() if fmt == "json" else x.text()
+
+
+def _render(args) -> str:
     cmd = args.command
     if cmd in ("parse", "export"):
         g = parse_term(args.term)
         graphs.require_valid(g)
         if args.format == "dot":
-            print(graphs.to_dot(g))
-        elif args.format == "json":
-            print(graphs.to_json(g))
-        else:
-            print(f"valid term of biarity ({g.n},{g.m}) with "
-                  f"{len(g.vertices)} vertices")
-        return 0
+            return graphs.to_dot(g)
+        if args.format == "json":
+            return graphs.to_json(g)
+        return f"valid term of biarity ({g.n},{g.m}) with {len(g.vertices)} vertices"
 
     if cmd == "normalize":
-        _print_ws(normalize(parse_term(args.term)), args.format)
-        return 0
+        return _ws_text(normalize(parse_term(args.term)), args.format)
 
     if cmd == "compose":
         top = normalize(parse_term(args.top))
         bottom = normalize(parse_term(args.bottom))
-        _print_ws(compose_weighted(top, bottom), args.format)
-        return 0
+        return _ws_text(compose_weighted(top, bottom), args.format)
 
     if cmd == "eval":
         g = parse_term(args.term)
         points = tuple(parse_point(text) for text in args.point)
-        outs = eval_term(g, points, d=args.d)
-        try:
-            text = ", ".join(str(p) for p in outs)
-        except ValueError:  # an int past the limit of int-to-text conversion
-            raise PropcalcError("a result coordinate has too many digits to print") from None
-        print(text)
-        return 0
+        return ", ".join(str(p) for p in eval_term(g, points, d=args.d))
 
     if cmd == "act":
         g = parse_term(args.term)
@@ -213,50 +214,36 @@ def _dispatch(args) -> int:
         faces = tuple(_face(text) for text in args.face)
         result = chains.act(x, [faces])
         if not result:
-            print("0")
-        else:
-            print(" + ".join(
-                " (x) ".join("[" + ",".join(map(str, f)) + "]" for f in tensor)
-                or "1"
-                for tensor in sorted(result)))
-        return 0
+            return "0"
+        return " + ".join(
+            " (x) ".join("[" + ",".join(map(str, f)) + "]" for f in tensor) or "1"
+            for tensor in sorted(result))
 
     if cmd == "cup":
         K = _complex_from_file(args.complex)
         a = _cochain_from_file(args.a, K)
         b = _cochain_from_file(args.b, K)
         result = chains.cup_i(args.i, a, b, K)
-        print(complexes.cochain_to_text(result) if result else "0")
-        return 0
+        return complexes.cochain_to_text(result) if result else "0"
 
     if cmd == "sq":
         K = _complex_from_file(args.complex)
         x = _cochain_from_file(args.cocycle, K)
         result = chains.steenrod_square(args.k, x, K)
-        print(complexes.cochain_to_text(result) if result else "0")
-        return 0
+        return complexes.cochain_to_text(result) if result else "0"
 
     if cmd == "surface":
         x = normalize(parse_term(args.term))
         if args.format == "svg":
-            print(surfaces.svg_sketch(x))
-        elif args.format == "dot":
-            rg = surfaces.collapse_edges(surfaces.to_ribbon(x))
-            print(surfaces.ribbon_to_dot(rg))
-        elif args.format == "json":
-            print(surfaces.surface_summary(x).to_json())
-        else:
-            s = surfaces.surface_summary(x)
-            print(f"genus {s.genus}, boundary circles {s.boundary}, "
-                  f"components {s.components}, chi {s.chi_surface}")
-            for i, j, w in s.arcs:
-                print(f"  arc {i} -> {j}  weight {w}")
-        return 0
-
-    if cmd == "verify":
-        only = _criteria(args.only) if args.only else None
-        results = verify.run_all(seed=args.seed, only=only)
-        return 0 if all(r.passed for r in results) else 2
+            return surfaces.svg_sketch(x)
+        if args.format == "dot":
+            return surfaces.ribbon_to_dot(surfaces.collapse_edges(surfaces.to_ribbon(x)))
+        s = surfaces.surface_summary(x)
+        if args.format == "json":
+            return s.to_json()
+        return "\n".join([f"genus {s.genus}, boundary circles {s.boundary}, "
+                          f"components {s.components}, chi {s.chi_surface}"]
+                         + [f"  arc {i} -> {j}  weight {w}" for i, j, w in s.arcs])
 
     raise PropcalcError(f"unknown command {cmd!r}")
 

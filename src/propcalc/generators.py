@@ -14,6 +14,11 @@ Conventions (fixed once, used consistently everywhere):
   first input and s*a on the second (s is the second-input share);
 * phi at 0 is the plain strand, phi at 1 is delta with the counit grafted
   on its first output.
+
+The counit relations live here once, as a redex rule (`counit_redexes`)
+and a rewrite (`rewrite_counit`) on a `graphs.Wiring`.  `apply_relations_S`
+and the normalizer's counit pass both drive them with `Wiring.exhaust`,
+which takes redexes in counit-id order unless an rng picks them.
 """
 
 from __future__ import annotations
@@ -22,13 +27,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GraphError, WeightingError
-from .graphs import (GraphTerm, Vertex, Wiring, horizontal_compose, plan_of, unit,
-                     vertical_compose)
+from .graphs import (ARITY, GraphTerm, Vertex, Wiring, horizontal_compose, plan_of,
+                     unit, vertical_compose)
 
 # prop tags selecting which relation set applies
 S_TILDE = "stilde"
 S = "s"
-MS = "ms"
 
 GENERATOR_KINDS = ("eps", "delta", "mu", "phi")
 
@@ -50,7 +54,7 @@ def corolla(kind: str, params=()) -> GraphTerm:
 
 def check_tag(g: GraphTerm, tag: str):
     """phi is admitted only under the S-tilde tag."""
-    if tag not in (S_TILDE, S, MS):
+    if tag not in (S_TILDE, S):
         raise GraphError(f"unknown prop tag {tag!r}")
     if tag != S_TILDE and any(v.kind == "phi" for v in g.vertices):
         raise GraphError("phi generator is not part of this presentation")
@@ -100,71 +104,76 @@ def apply_attaching(g: GraphTerm, tag: str = S_TILDE) -> GraphTerm:
 # ---------------------------------------------------------------------------
 # relations
 
-def apply_relations_S(g: GraphTerm, tag: str = S) -> GraphTerm:
-    """Rewrite with the presentation's relations until no redex remains.
+def counit_redexes(work: Wiring, tag: str = S) -> list:
+    """The counits of `work` that a relation of the presentation rewrites.
 
-    Under the strictly counital tags (S, MS): delta with one output capped
-    by a counit collapses to a strand, and a counit below mu splits into
-    two counits.  Under the S-tilde tag: delta with both outputs capped
-    becomes a counit, a counit below mu splits, and a counit below phi
-    deletes the phi.  Redexes are taken in vertex-index order, which makes
-    the rewrite deterministic; confluence is checked separately by tests.
+    Under S every counit fed by a delta or a mu is a redex.  Under S-tilde
+    a counit below mu or phi is one, and a delta is one only when both its
+    outputs are capped; it is listed once, by its slot-0 cap.  A counit fed
+    by an input or an id vertex is never a redex.  Redexes are listed in
+    counit-id order.
+    """
+    kind, src, tgt = work.kind, work.src, work.tgt
+    out = []
+    for v in sorted(kind):
+        if kind[v] != "eps":
+            continue
+        s = src[("vi", v, 0)]
+        if s[0] == "in":
+            continue
+        feeder = kind[s[1]]
+        if feeder in ("mu", "phi"):
+            out.append(v)
+        elif feeder == "delta":
+            other = tgt[("vo", s[1], 1)]
+            if tag != S_TILDE or (s[2] == 0 and other[0] == "vi"
+                                  and kind[other[1]] == "eps"):
+                out.append(v)
+    return out
+
+
+def rewrite_counit(work: Wiring, v):
+    """Apply the relation at the counit v, a redex of `counit_redexes`.
+
+    A counit below mu or phi caps each of that vertex's inputs instead,
+    v the first one, and each new counit edge takes the label of v's edge.
+    A coproduct with a capped output collapses to a strand that passes on
+    the label of its other output; when that output is capped too, this
+    is the S-tilde rule that two caps on a coproduct make one.
+    """
+    _, u, k = work.src[("vi", v, 0)]
+    if work.kind[u] == "delta":
+        other = work.tgt[("vo", u, 1 - k)]
+        p, _ = work.del_edge(("vi", u, 0))
+        _, w_other = work.del_edge(other)
+        work.del_edge(("vi", v, 0))
+        work.del_vertex(u)
+        work.del_vertex(v)
+        work.add_edge(p, other, w_other)
+        return
+    ins = [work.del_edge(("vi", u, j))[0] for j in range(ARITY[work.kind[u]][0])]
+    _, w = work.del_edge(("vi", v, 0))
+    work.del_vertex(u)
+    work.add_edge(ins[0], ("vi", v, 0), w)
+    for p in ins[1:]:
+        work.add_edge(p, ("vi", work.new_vertex("eps"), 0), w)
+
+
+def apply_relations_S(g: GraphTerm, tag: str = S) -> GraphTerm:
+    """Rewrite with the presentation's counit relations until no redex remains.
+
+    Under S: delta with one output capped by a counit collapses to a
+    strand, and a counit below mu splits into two counits.  Under S-tilde:
+    delta with both outputs capped becomes a counit, a counit below mu
+    splits, and a counit below phi deletes the phi.  Redexes are taken in
+    counit-id order (`counit_redexes`), which makes the rewrite
+    deterministic; confluence is checked separately by tests.
     """
     check_tag(g, tag)
     work = Wiring.from_term(g)
-    kind = work.kind
-
-    def cap(v, k):
-        """The counit on output slot k of v, or None."""
-        d = work.tgt[("vo", v, k)]
-        return d[1] if d[0] == "vi" and kind[d[1]] == "eps" else None
-
-    def redex(v):
-        if kind[v] == "mu" or (kind[v] == "phi" and tag == S_TILDE):
-            w = cap(v, 0)
-            return None if w is None else (kind[v] + "-eps", v, w)
-        if kind[v] == "delta":
-            w0, w1 = cap(v, 0), cap(v, 1)
-            if tag != S_TILDE:
-                if w0 is not None:
-                    return ("delta-eps", v, w0, 1)
-                if w1 is not None:
-                    return ("delta-eps", v, w1, 0)
-            elif w0 is not None and w1 is not None:
-                return ("delta-eps-eps", v, w0, w1)
-        return None
-
-    while True:
-        found = next(filter(None, map(redex, sorted(kind))), None)
-        if found is None:
-            return work.to_term()
-        rule, v, *caps = found
-        src, _ = work.del_edge(("vi", v, 0))
-        if rule == "mu-eps":
-            src2, _ = work.del_edge(("vi", v, 1))
-            work.del_edge(("vi", caps[0], 0))
-            work.del_vertex(v)
-            work.del_vertex(caps[0])
-            for s in (src, src2):
-                work.add_edge(s, ("vi", work.new_vertex("eps"), 0))
-        elif rule == "delta-eps":
-            w, keep = caps
-            dst = work.tgt[("vo", v, keep)]
-            work.del_edge(dst)
-            work.del_edge(("vi", w, 0))
-            work.del_vertex(v)
-            work.del_vertex(w)
-            work.add_edge(src, dst)
-        elif rule == "delta-eps-eps":
-            for w in caps:
-                work.del_edge(("vi", w, 0))
-                work.del_vertex(w)
-            work.del_vertex(v)
-            work.add_edge(src, ("vi", work.new_vertex("eps"), 0))
-        else:  # phi-eps
-            work.del_edge(("vi", caps[0], 0))
-            work.del_vertex(v)
-            work.add_edge(src, ("vi", caps[0], 0))
+    work.exhaust(lambda w: counit_redexes(w, tag), rewrite_counit,
+                 what="counit relations")
+    return work.to_term()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import CompositionError, GraphError
+from .errors import CompositionError, GraphError, InternalError
 
 # biarity (inputs, outputs) and parameter count of each vertex decoration;
 # "id" only occurs as a unit decoration that absorb_equivalences removes
@@ -126,9 +126,6 @@ class Permutation:
     def compose(self, other):
         """self after other: (self.compose(other))(i) = self(other(i))."""
         return Permutation(tuple(self(other(i)) for i in range(1, other.degree + 1)))
-
-    def is_identity(self):
-        return all(v == i for i, v in enumerate(self.image, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +372,10 @@ def iso_equal(g1: GraphTerm, g2: GraphTerm) -> bool:
 # ---------------------------------------------------------------------------
 # mutable wiring
 
+# steps one rewrite pass may take before it counts as non-terminating
+REWRITE_BUDGET = 100000
+
+
 class Wiring:
     """A graph term opened up for rewriting.
 
@@ -427,6 +428,19 @@ class Wiring:
 
     def del_vertex(self, v):
         del self.kind[v], self.params[v]
+
+    def exhaust(self, redexes, rewrite, rng=None, what="rewrite pass"):
+        """Rewrite until `redexes(self)` lists no redex.
+
+        Each step calls `rewrite(self, r)` on the first listed redex r, or on
+        one drawn by `rng.choice` when an rng is given.
+        """
+        for _ in range(REWRITE_BUDGET):
+            found = redexes(self)
+            if not found:
+                return
+            rewrite(self, rng.choice(found) if rng else found[0])
+        raise InternalError(f"{what} did not terminate")
 
     def to_term(self) -> GraphTerm:
         """Close the wiring: surviving vertices renumbered in id order."""

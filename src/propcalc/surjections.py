@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionError, GraphError, InternalError, WeightingError
-from .generators import (EdgeWeighting, MS, S, apply_attaching, check_tag,
-                         corolla, to_edge_weights)
+from .generators import (EdgeWeighting, S, apply_attaching, corolla, counit_redexes,
+                         rewrite_counit, to_edge_weights)
 from .graphs import (GraphTerm, Permutation, Wiring, absorb_equivalences,
                      horizontal_compose, permutation_graph, require_valid,
                      unit, vertical_compose)
@@ -67,10 +67,6 @@ class SurjType:
                 counts[f - 1] += 1
         return counts
 
-    @property
-    def has_caps(self):
-        return any(not b for b in self.blocks)
-
 
 @dataclass(frozen=True)
 class WeightedSurjection:
@@ -108,10 +104,6 @@ class WeightedSurjection:
     @property
     def degree(self):
         return self.r - self.m
-
-    @property
-    def is_counit_class(self):
-        return self.m == 0
 
     @property
     def is_interior(self):
@@ -378,38 +370,6 @@ class _Work(Wiring):
                 raise GraphError(f"normalizer does not accept {vert.kind} vertices")
         return cls.from_term(g, weighting.weights)
 
-    def counit_redexes(self):
-        out = []
-        for v in self.kind:
-            if self.kind[v] == "eps" and self.src[("vi", v, 0)][0] != "in":
-                out.append(v)
-        return sorted(out)
-
-    def rewrite_counit(self, v):
-        s = self.src[("vi", v, 0)]
-        u = s[1]
-        ku = self.kind[u]
-        if ku == "mu":
-            p1, _ = self.del_edge(("vi", u, 0))
-            p2, _ = self.del_edge(("vi", u, 1))
-            self.del_edge(("vi", v, 0))
-            self.del_vertex(u)
-            self.add_edge(p1, ("vi", v, 0), Fraction(0))
-            e2 = self.new_vertex("eps")
-            self.add_edge(p2, ("vi", e2, 0), Fraction(0))
-        elif ku == "delta":
-            which = s[2]
-            other = 1 - which
-            d_other = self.tgt[("vo", u, other)]
-            p, _ = self.del_edge(("vi", u, 0))
-            _, w_other = self.del_edge(d_other)
-            self.del_edge(("vi", v, 0))
-            self.del_vertex(u)
-            self.del_vertex(v)
-            self.add_edge(p, d_other, w_other)
-        else:
-            raise InternalError(f"counit fed by {ku}")
-
     def position_key(self, src_ep):
         """Canonical strand position of an edge source: (input index, branch word).
 
@@ -473,16 +433,18 @@ class _Work(Wiring):
             else:
                 self.add_edge(("vo", mus[t], 0), target, running)
 
-    def rewrite_leibniz(self, u, v):
+    def rewrite_leibniz(self, redex):
         """Exchange the product tree rooted at u with the coproduct v below it.
 
-        The tree's strands, taken in canonical position order, partition an
-        interval of width b1 + b2; cutting it at b1 (the coproduct's split)
-        refines the strands into the two output combs, with the straddling
-        strand split by a fresh coproduct.  This is the relation's three
-        weight cases at once, generalized to whole trees so that crossings
+        `redex` is a pair (u, v) listed by `leibniz_redexes`.  The tree's
+        strands, taken in canonical position order, partition an interval
+        of width b1 + b2; cutting it at b1 (the coproduct's split) refines
+        the strands into the two output combs, with the straddling strand
+        split by a fresh coproduct.  This is the relation's three weight
+        cases at once, generalized to whole trees so that crossings
         absorbed by commutativity cannot change the result.
         """
+        u, v = redex
         tree, leaves = self._mu_tree(u)
         entries = sorted(
             ((self.position_key(s), s, self.w[d]) for s, d in leaves),
@@ -534,25 +496,11 @@ class _Work(Wiring):
         self._build_comb(side1, t1, b1)
         self._build_comb(side2, t2, b2)
 
-    def pass_counits(self, rng=None, budget=100000):
-        while budget:
-            redexes = self.counit_redexes()
-            if not redexes:
-                return
-            v = rng.choice(redexes) if rng else redexes[0]
-            self.rewrite_counit(v)
-            budget -= 1
-        raise InternalError("counit elimination did not terminate")
+    def pass_counits(self, rng=None):
+        self.exhaust(counit_redexes, rewrite_counit, rng, "counit elimination")
 
-    def pass_leibniz(self, rng=None, budget=100000):
-        while budget:
-            redexes = self.leibniz_redexes()
-            if not redexes:
-                return
-            u, v = rng.choice(redexes) if rng else redexes[0]
-            self.rewrite_leibniz(u, v)
-            budget -= 1
-        raise InternalError("Leibniz push did not terminate")
+    def pass_leibniz(self, rng=None):
+        self.exhaust(_Work.leibniz_redexes, _Work.rewrite_leibniz, rng, "Leibniz push")
 
     def to_graph(self) -> GraphTerm:
         """Export with mu parameters recovered from the local weights."""
@@ -595,24 +543,26 @@ class _Work(Wiring):
         return WeightedSurjection(self.n, self.m, blocks, weights)
 
 
-def _prepare(g: GraphTerm, tag: str) -> _Work:
-    check_tag(g, tag)
+def _prepare(g: GraphTerm) -> _Work:
     g = absorb_equivalences(g)
     g = apply_attaching(g, S)
     weighting = to_edge_weights(g)
     return _Work.from_graph(g, weighting)
 
 
-def normalize(g: GraphTerm, tag: str = MS, rng=None) -> WeightedSurjection:
+def normalize(g: GraphTerm, rng=None) -> WeightedSurjection:
     """Unique canonical form of a term over the counital generators.
 
-    The passes run in the proof's order: counit elimination, Leibniz push,
-    then extraction (which forgets tree shapes, reorders each output's
-    strands by position, and removes involutions).  `rng` shuffles the
-    redex choices; the result must not depend on it.
+    The term may hold `id` vertices and mu vertices at the boundary
+    parameters 0 and 1; a phi vertex is refused, since phi is not part of
+    the counital presentation.  The passes run in the proof's order:
+    counit elimination, Leibniz push, then extraction (which forgets tree
+    shapes, reorders each output's strands by position, and removes
+    involutions).  `rng` shuffles the redex choices; the result must not
+    depend on it.
     """
     require_valid(g)
-    work = _prepare(g, tag)
+    work = _prepare(g)
     work.pass_counits(rng)
     work.pass_leibniz(rng)
     return work.extract()
@@ -624,7 +574,7 @@ def eliminate_counits(g: GraphTerm):
     Returns the rewritten graph term, or the counit class when m = 0.
     """
     require_valid(g)
-    work = _prepare(g, S)
+    work = _prepare(g)
     work.pass_counits()
     if g.m == 0:
         return counit_class(g.n)
@@ -644,7 +594,7 @@ def leibniz_push(g: GraphTerm, weighting: EdgeWeighting = None) -> GraphTerm:
     else:
         weighting.require(strict_outputs=False)
     work = _Work.from_graph(g, weighting)
-    if work.counit_redexes():
+    if counit_redexes(work):
         raise GraphError("leibniz_push expects internal counits eliminated first")
     work.pass_leibniz()
     return work.to_graph()
@@ -787,7 +737,7 @@ def random_ws(rng, max_n=3, max_m=3, max_degree=3) -> WeightedSurjection:
 def shuffle_relations(g: GraphTerm, rng, moves=6) -> GraphTerm:
     """Apply random relation instances; the canonical form must not change."""
     require_valid(g)
-    work = _prepare(g, MS)
+    work = _prepare(g)
     for _ in range(moves):
         move = rng.choice(["bubble", "counit-left", "counit-right", "commute", "leibniz"])
         if move == "bubble":
@@ -831,6 +781,5 @@ def shuffle_relations(g: GraphTerm, rng, moves=6) -> GraphTerm:
             redexes = work.leibniz_redexes()
             if not redexes:
                 continue
-            u, v = rng.choice(redexes)
-            work.rewrite_leibniz(u, v)
+            work.rewrite_leibniz(rng.choice(redexes))
     return work.to_graph()

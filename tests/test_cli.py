@@ -203,3 +203,35 @@ def test_eval_reports_a_result_too_long_to_print(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "error: a result coordinate has too many digits to print"
+
+
+def test_normalize_refuses_phi(capsys):
+    assert run(["normalize", "h(1/2)"]) == 1
+    assert "phi generator is not part of this presentation" in capsys.readouterr().err
+
+
+def test_verify_seed_defaults_to_the_suite_seed(capsys):
+    from propcalc.verify import DEFAULT_SEED
+    assert run(["verify", "--only", "2"]) == 0
+    assert f"seed={DEFAULT_SEED})" in capsys.readouterr().out
+
+
+# strand weights 1/3^8000 and 1/7^4500 are each within the limit, their product is not
+_LONG_WEIGHTS = f"(mu(1/{3 ** 8000}) | id) ; mu(1/{7 ** 4500})"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", _LONG_WEIGHTS],
+    ["normalize", _LONG_WEIGHTS, "--format", "json"],
+    ["compose", _LONG_WEIGHTS, "id"],
+    ["surface", _LONG_WEIGHTS],
+    ["surface", _LONG_WEIGHTS, "--format", "json"],
+    ["surface", _LONG_WEIGHTS, "--format", "dot"],
+    ["surface", _LONG_WEIGHTS, "--format", "svg"],
+], ids=["normalize", "normalize-json", "compose", "surface", "surface-json", "surface-dot",
+        "surface-svg"])
+def test_a_weight_too_long_to_print_exits_1(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: a result coordinate has too many digits to print"

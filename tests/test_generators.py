@@ -5,10 +5,12 @@ import pytest
 
 from propcalc.errors import GraphError, WeightingError
 from propcalc.generators import (EdgeWeighting, S, S_TILDE, apply_attaching,
-                                 apply_relations_S, corolla, from_edge_weights,
-                                 stabilize_add, stabilize_remove, to_edge_weights)
-from propcalc.graphs import iso_equal, sources_by_target, unit, vertical_compose
-from propcalc.surjections import normalize, random_sterm
+                                 apply_relations_S, corolla, counit_redexes,
+                                 from_edge_weights, rewrite_counit, stabilize_add,
+                                 stabilize_remove, to_edge_weights)
+from propcalc.graphs import (GraphTerm, Vertex, Wiring, iso_equal, sources_by_target, unit,
+                             vertical_compose)
+from propcalc.surjections import eliminate_counits, normalize, random_sterm
 from propcalc.terms import parse
 
 
@@ -213,3 +215,60 @@ def test_relations_keep_the_normal_form():
     for _ in range(300):
         g = random_sterm(rng)
         assert normalize(apply_relations_S(g)) == normalize(g)
+
+
+# --- the shared counit rule ------------------------------------------------
+
+def test_relations_agree_with_counit_elimination():
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(300):
+        g = random_sterm(rng)
+        if g.m == 0:
+            continue
+        assert iso_equal(apply_relations_S(g), eliminate_counits(g))
+        checked += 1
+    assert checked > 100
+
+
+def test_counit_redexes_under_s_tilde():
+    # a coproduct is a redex only with both outputs capped, listed by its slot-0 cap
+    work = Wiring.from_term(parse("delta ; (eps | eps)"))
+    assert counit_redexes(work, S_TILDE) == [1]
+    assert counit_redexes(work, S) == [1, 2]
+    assert counit_redexes(Wiring.from_term(parse("delta ; (id | eps)")), S_TILDE) == []
+    # a counit below phi or mu is a redex under S-tilde
+    assert counit_redexes(Wiring.from_term(parse("h(1/2) ; eps")), S_TILDE) == [1]
+    assert counit_redexes(Wiring.from_term(parse("mu(1/2) ; eps")), S_TILDE) == [1]
+
+
+def test_counits_fed_by_an_input_or_an_id_vertex_are_never_redexes():
+    # delta ; (id vertex ; eps | eps) and a counit on the input itself
+    unit_vertex = GraphTerm(1, 0, (Vertex("delta"), Vertex("id"), Vertex("eps"), Vertex("eps")),
+                            frozenset({(("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("vi", 1, 0)),
+                                       (("vo", 1, 0), ("vi", 2, 0)), (("vo", 0, 1), ("vi", 3, 0))}))
+    for g, expected in ((parse("eps"), {S: [], S_TILDE: []}),
+                        (unit_vertex, {S: [3], S_TILDE: []})):
+        for tag in (S, S_TILDE):
+            assert counit_redexes(Wiring.from_term(g), tag) == expected[tag]
+    assert apply_relations_S(unit_vertex, S_TILDE) == unit_vertex
+    assert iso_equal(apply_relations_S(unit_vertex),
+                     GraphTerm(1, 0, (Vertex("id"), Vertex("eps")),
+                               frozenset({(("in", 0), ("vi", 0, 0)),
+                                          (("vo", 0, 0), ("vi", 1, 0))})))
+
+
+def test_counit_rewrites_carry_the_edge_labels():
+    # below a product: both new counit edges take the label of the cap's edge
+    work = Wiring.from_term(parse("mu(1/2) ; eps"))
+    for dst in work.src:
+        work.w[dst] = "cap" if dst == ("vi", 1, 0) else "other"
+    rewrite_counit(work, 1)
+    assert sorted(work.kind.values()) == ["eps", "eps"]
+    assert {work.w[("vi", v, 0)] for v in work.kind} == {"cap"}
+    # a collapsed coproduct passes on the label of its other output
+    work = Wiring.from_term(parse("delta ; (eps | id)"))
+    work.w[("out", 0)] = "kept"
+    rewrite_counit(work, 1)
+    assert work.kind == {} and work.src == {("out", 0): ("in", 0)}
+    assert work.w == {("out", 0): "kept"}

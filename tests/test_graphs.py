@@ -4,8 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from propcalc.errors import CompositionError, GraphError
-from propcalc.graphs import (GraphTerm, Permutation, Vertex, absorb_equivalences,
+from propcalc.errors import CompositionError, GraphError, InternalError
+from propcalc.graphs import (GraphTerm, Permutation, Vertex, Wiring, absorb_equivalences,
                              canonical_form, from_json, horizontal_compose,
                              iso_equal, permutation_graph, permute_inputs,
                              permute_outputs, to_dot, to_json, topological_order,
@@ -264,3 +264,23 @@ def test_topological_order_reports_the_cycle():
         (("vo", 0, 0), ("vi", 1, 0)), (("vo", 1, 1), ("out", 0))}))
     with pytest.raises(GraphError, match=r"directed cycle through vertices \[0, 1\]"):
         list(topological_order(g))
+
+
+def test_exhaust_stops_when_no_redex_is_left():
+    work = Wiring(1, 1)
+    work.add_edge(("in", 0), ("out", 0))
+    steps = []
+    work.exhaust(lambda w: [len(steps), -1] if len(steps) < 3 else [],
+                 lambda w, r: steps.append(r))
+    assert steps == [0, 1, 2]  # the first listed redex, without an rng
+    drawn = []
+    work.exhaust(lambda w: [0, 1, 2, 3] if len(drawn) < 20 else [],
+                 lambda w, r: drawn.append(r), rng=random.Random(5))
+    expected = random.Random(5)
+    assert drawn == [expected.choice([0, 1, 2, 3]) for _ in range(20)]
+
+
+def test_exhaust_names_a_pass_that_does_not_terminate():
+    work = Wiring(0, 0)
+    with pytest.raises(InternalError, match="^spinning pass did not terminate$"):
+        work.exhaust(lambda w: [0], lambda w, r: None, what="spinning pass")

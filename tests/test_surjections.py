@@ -326,3 +326,22 @@ def test_weighted_surjection_validation():
         W(1, 1, [(1, 1)], [("1/2", "1/2")])
     with pytest.raises(GraphError):
         W(1, 2, [(1, 1, 2)], [("1/2", "1/2", 1)])
+
+
+def test_confluence_at_size():
+    # shuffled expansions average about 25 vertices; random_sterm averages under 4
+    rng = random.Random(34)
+    sizes = []
+    for i in range(100):
+        x = random_ws(rng, max_degree=6)
+        g = shuffle_relations(expand_graph(x), rng, moves=16)
+        sizes.append(len(g.vertices))
+        assert normalize(g) == x
+        for k in range(3):
+            assert normalize(g, rng=random.Random(f"{i}:{k}")) == x
+    assert sum(sizes) / len(sizes) > 15
+
+
+def test_normalize_refuses_phi():
+    with pytest.raises(GraphError, match="phi generator is not part of this presentation"):
+        normalize(parse("h(1/2)"))
