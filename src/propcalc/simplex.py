@@ -7,13 +7,28 @@ counit collapses to the empty tuple, the product takes the convex
 combination s*x + (1-s)*y, and the counit homotopy is a reparametrized
 cap.  Exact rationals by default; floats work for experiments, compared
 against a tolerance.
+
+Every one of these interval maps is continuous, monotone and piecewise
+linear, so output j of a (1,m) term is x -> (f_j(x_1), ..., f_j(x_d)) for
+one such map f_j of [0,1].  The first `eval_term` of a valid (1,m) term
+compiles the maps once, in the plan's order, and stores them on the term,
+written once like its plan: per output the interior knots and one exact
+(slope, intercept) pair per segment.  Evaluating is then one bisection
+and one a*x + b per coordinate; a float coordinate is mapped exactly at
+its binary value and rounded once, so it never leaves [0,1] by rounding.
+Terms with any other number of inputs run `interpret`, generator by
+generator, which is also the reference the compiled maps are tested
+against.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import le
 
 from .errors import GraphError, ParseError
 from .graphs import GraphTerm, plan_of, require_valid
@@ -25,12 +40,16 @@ class SimplexPoint:
     coords: tuple
 
     def __post_init__(self):
+        # 0 <= x_1 <= ... <= x_d <= 1 in d+1 comparisons; the loop below
+        # names the first bad coordinate
+        if all(map(le, chain((0,), self.coords), chain(self.coords, (1,)))):
+            return
         prev = 0
         for x in self.coords:
-            if x < 0 or x > 1:
+            if not 0 <= x <= 1:
                 raise GraphError(f"coordinate {x} outside [0,1]")
             if x < prev:
-                raise GraphError(f"coordinates not monotone: {self.coords}")
+                raise GraphError(f"coordinates not monotone: {self}")
             prev = x
 
     @property
@@ -125,9 +144,7 @@ def eval_generator(kind, s, points):
     raise GraphError(f"unknown generator {kind!r}")
 
 
-def eval_term(g: GraphTerm, points, d=None):
-    """Evaluate a term by topological order; returns the output tuple."""
-    plan = plan_of(g)
+def _inputs(g: GraphTerm, points, d):
     points = tuple(points)
     if len(points) != g.n:
         raise GraphError(f"term has {g.n} inputs, got {len(points)} points")
@@ -135,6 +152,39 @@ def eval_term(g: GraphTerm, points, d=None):
         for p in points:
             if p.d != d:
                 raise GraphError(f"point {p} does not live in dimension {d}")
+    return points
+
+
+def eval_term(g: GraphTerm, points, d=None):
+    """Evaluate a term on one point per input; returns the output tuple.
+
+    A (1,m) term acts through its compiled interval maps, built on its
+    first evaluation; any other term is interpreted.
+    """
+    plan = plan_of(g)
+    points = _inputs(g, points, d)
+    if g.n != 1:
+        return _interpret(g, plan, points)
+    maps = g._maps if g._maps is not None else _compile(g, plan)
+    xs = points[0].coords
+    outs = []
+    for knots, segments in maps:
+        coords = []
+        for x in xs:
+            a, b = segments[bisect_right(knots, x)]
+            # exact at a float's binary value: a*x + b in floats cancels
+            # badly on steep segments and can leave [0,1]
+            coords.append(a * x + b if type(x) is not float else float(a * Fraction(x) + b))
+        outs.append(SimplexPoint(tuple(coords)))
+    return tuple(outs)
+
+
+def interpret(g: GraphTerm, points, d=None):
+    """Evaluate a term generator by generator, in the plan's order."""
+    return _interpret(g, plan_of(g), _inputs(g, points, d))
+
+
+def _interpret(g, plan, points):
     value = {plan.tgt[("in", i)]: p for i, p in enumerate(points)}  # dst endpoint -> point
     for v in plan.order:
         vert = g.vertices[v]
@@ -144,6 +194,110 @@ def eval_term(g: GraphTerm, points, d=None):
         for k, out in enumerate(outs):
             value[plan.tgt[("vo", v, k)]] = out
     return tuple(value[("out", j)] for j in range(g.m))
+
+
+# ---------------------------------------------------------------------------
+# compiled interval maps
+#
+# A map is (knots, segments): the interior knots 0 < t_1 < ... < t_k < 1
+# and k+1 pairs (a, b), the map being a*x + b on [t_i, t_{i+1}] with
+# t_0 = 0 and t_{k+1} = 1.  Adjacent segments always differ, so the knots
+# are exactly the breaks.
+
+_HALF = Fraction(1, 2)
+_IDENTITY = ((), ((Fraction(1), Fraction(0)),))
+_FRONT = ((_HALF,), ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1))))
+_BACK = ((_HALF,), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+
+
+def _generator_maps(kind, s):
+    """The interval maps of a one-input generator, one per output."""
+    if kind == "delta":
+        return (_FRONT, _BACK)
+    if kind == "eps":
+        return ()
+    if kind == "id" or (kind == "phi" and s == 0):
+        return (_IDENTITY,)
+    if kind == "phi":
+        return (((1 - s / 2,), ((2 / (2 - s), Fraction(0)), (Fraction(0), Fraction(1)))),)
+    raise GraphError(f"no interval map for generator {kind!r}")
+
+
+def _extend(knots, segments, x, seg):
+    """Start segment `seg` at x, unless it continues the last one."""
+    if not segments:
+        segments.append(seg)
+    elif seg != segments[-1]:
+        knots.append(x)
+        segments.append(seg)
+
+
+def _compose_maps(outer, inner):
+    """outer after inner, in one walk over the segments of `inner`.
+
+    The walk inserts a knot where `inner` crosses a knot of `outer`; the
+    inner map is monotone, so the outer segment index only grows.
+    """
+    ok, osegs = outer
+    ik, isegs = inner
+    knots, segments = [], []
+    j = 0
+    left, lo = 0, isegs[0][1]  # a segment's left end and the value there
+    for i, (a, b) in enumerate(isegs):
+        right = ik[i] if i < len(ik) else 1
+        hi = a * right + b if a else b
+        while j < len(ok) and ok[j] <= lo:
+            j += 1
+        x = left
+        while True:
+            c, e = osegs[j]
+            _extend(knots, segments, x, (c * a, c * b + e) if c else (c, e))
+            if j == len(ok) or ok[j] >= hi:
+                break
+            x = (ok[j] - b) / a
+            j += 1
+        left, lo = right, hi
+    return tuple(knots), tuple(segments)
+
+
+def _convex_maps(s, f, g):
+    """x -> s*f(x) + (1-s)*g(x), merging the two knot lists in one walk."""
+    t = 1 - s
+    (fk, fsegs), (gk, gsegs) = f, g
+    knots, segments = [], []
+    i = j = 0
+    x = 0
+    while True:
+        (a, b), (c, e) = fsegs[i], gsegs[j]
+        _extend(knots, segments, x, (s * a + t * c, s * b + t * e))
+        if i == len(fk) and j == len(gk):
+            return tuple(knots), tuple(segments)
+        if j == len(gk) or (i < len(fk) and fk[i] <= gk[j]):
+            x = fk[i]
+        else:
+            x = gk[j]
+        if i < len(fk) and fk[i] == x:
+            i += 1
+        if j < len(gk) and gk[j] == x:
+            j += 1
+
+
+def _compile(g, plan):
+    """The interval maps of the valid (1,m) term g, stored on it once."""
+    value = {plan.tgt[("in", 0)]: _IDENTITY}  # dst endpoint -> the map reaching it
+    for v in plan.order:
+        vert = g.vertices[v]
+        ins = [value.pop(("vi", v, k)) for k in range(vert.arity[0])]
+        if vert.kind == "mu":
+            outs = (_convex_maps(vert.params[0], *ins),)
+        else:
+            s = vert.params[0] if vert.params else None
+            outs = tuple(_compose_maps(f, ins[0]) for f in _generator_maps(vert.kind, s))
+        for k, out in enumerate(outs):
+            value[plan.tgt[("vo", v, k)]] = out
+    maps = tuple(value[("out", j)] for j in range(g.m))
+    object.__setattr__(g, "_maps", maps)
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ def test_eval_rejects_bad_points(capsys, point, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_eval_prints_a_non_monotone_point_as_rationals(capsys):
+    assert run(["eval", "--term", "delta", "--point", "1/2,1/3"]) == 1
+    assert capsys.readouterr().err.strip() == "error: coordinates not monotone: (1/2,1/3)"
+
+
 @pytest.mark.parametrize("point", ["1e-5000", "1e-3000000", "1e99999999999",
                                    "1/" + "7" * 4301],
                          ids=["1e-5000", "1e-3000000", "1e99999999999", "4301-digit-denominator"])

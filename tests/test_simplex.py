@@ -1,15 +1,18 @@
+import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from propcalc.errors import GraphError, ParseError
 from propcalc.generators import S, apply_attaching, corolla
-from propcalc.graphs import GraphTerm, Vertex
+from propcalc.graphs import (ARITY, GraphTerm, Vertex, horizontal_compose,
+                             permutation_graph, unit, vertical_compose)
 from propcalc.simplex import (SimplexPoint, carrier, check_cellular,
                               check_naturality, codegeneracy, coface,
                               eval_generator, eval_term, face_action,
-                              face_point, parse_point, point_in_face,
+                              face_point, interpret, parse_point, point_in_face,
                               random_point, vertex_point)
 from propcalc.surjections import random_sterm
 from propcalc.terms import parse
@@ -21,6 +24,17 @@ def test_point_validation():
     with pytest.raises(GraphError):
         SimplexPoint((F(-1, 2),))
     assert SimplexPoint(()).d == 0
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((F(3, 2), F(1, 2)), "coordinate 3/2 outside [0,1]"),
+    ((F(1, 2), F(1, 4), F(2)), "coordinates not monotone: (1/2,1/4,2)"),
+    ((F(1, 4), F(-1, 2)), "coordinate -1/2 outside [0,1]"),
+    ((0.25, float("nan")), "coordinate nan outside [0,1]"),
+], ids=["above-then-inside", "decrease-before-above", "inside-then-below", "nan"])
+def test_point_validation_names_the_first_bad_coordinate(coords, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        SimplexPoint(coords)
 
 
 def test_skeleton_level():
@@ -215,3 +229,136 @@ def test_parse_point_rejects_coordinates_past_the_digit_limit(text):
 def test_parse_point_keeps_long_coordinates_within_the_digit_limit():
     assert parse_point("1e-4298").coords == (F(1, 10 ** 4298),)
     assert parse_point("1/" + "3" * 4300).coords == (F(1, int("3" * 4300)),)
+
+
+# ---------------------------------------------------------------------------
+# compiled interval maps of (1,m) terms against the interpreter
+
+ID_VERTEX = GraphTerm(1, 1, (Vertex("id"),), frozenset({
+    (("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("out", 0))}))
+
+
+def _parameter(rng):
+    return rng.choice((F(0), F(1), F(rng.randint(1, 15), 16)))
+
+
+def _one_input_term(rng, vertices, max_width=6):
+    """A valid (1,m) term of exactly `vertices` vertices, layer by layer,
+    over delta, phi, id, eps and mu, with parameters 0 and 1 among them."""
+    g = unit(1)
+    width = 1
+    for step in range(vertices):
+        if width == 1:
+            kinds = ("delta", "phi", "id") + (("eps",) if step == vertices - 1 else ())
+        elif width >= max_width:
+            kinds = ("eps", "mu")
+        else:
+            kinds = ("delta", "phi", "id", "eps", "mu")
+        kind = rng.choice(kinds)
+        if width > 1 and rng.random() < 0.25:
+            image = list(range(1, width + 1))
+            rng.shuffle(image)
+            g = vertical_compose(g, permutation_graph(tuple(image)))
+        a, b = ARITY[kind]
+        gen = ID_VERTEX if kind == "id" else corolla(
+            kind, (_parameter(rng),) if kind in ("mu", "phi") else ())
+        pos = rng.randint(0, width - a)
+        g = vertical_compose(g, horizontal_compose([unit(pos), gen, unit(width - pos - a)]))
+        width += b - a
+    return GraphTerm(g.n, g.m, g.vertices, g.edges)  # fresh: no plan, no maps
+
+
+def _special_coordinates(g):
+    """1/2, each (2-s)/2, and every knot of the compiled maps: the points
+    where some generator of g sits exactly on its own knot."""
+    coords = {F(0), F(1), F(1, 2)}
+    coords.update((2 - v.params[0]) / 2 for v in g.vertices if v.kind == "phi")
+    for knots, _ in g._maps:
+        coords.update(knots)
+    return sorted(coords)
+
+
+def test_compiled_maps_match_the_interpreter_on_seeded_terms():
+    rng = random.Random(707)
+    terms = exact = on_knots = 0
+    kinds = set()
+    worst = 0.0
+    for k in range(600):
+        g = _one_input_term(rng, rng.randint(4, 40))
+        kinds.update((v.kind, v.params) for v in g.vertices)
+        d = k % 6
+        first = random_point(rng, d)
+        assert g._maps is None
+        assert eval_term(g, (first,)) == interpret(g, (first,))
+        special = _special_coordinates(g)
+        interior = {x for x in special if 0 < x < 1}
+        for _ in range(3):
+            pool = special + [F(rng.randint(0, 64), 64) for _ in range(len(special))]
+            point = SimplexPoint(tuple(sorted(rng.choice(pool) for _ in range(d))))
+            on_knots += any(x in interior for x in point.coords)
+            assert eval_term(g, (point,)) == interpret(g, (point,))
+            floats = SimplexPoint(tuple(float(x) for x in point.coords))
+            for p, q in zip(eval_term(g, (floats,)), interpret(g, (floats,))):
+                worst = max([worst] + [abs(x - y) for x, y in zip(p.coords, q.coords)])
+            exact += 1
+        terms += 1
+    assert terms == 600 and exact == 1800
+    assert worst <= 1e-12, worst
+    assert on_knots > 600
+    assert {("phi", ()), ("id", ()), ("eps", ())} <= {(kind, ()) for kind, _ in kinds}
+    for s in (F(0), F(1)):
+        assert ("mu", (s,)) in kinds and ("phi", (s,)) in kinds
+
+
+def test_compiled_maps_are_continuous_monotone_and_fix_the_endpoints():
+    rng = random.Random(708)
+    for _ in range(100):
+        g = _one_input_term(rng, rng.randint(4, 40))
+        eval_term(g, (random_point(rng, 1),))
+        assert len(g._maps) == g.m
+        for knots, segments in g._maps:
+            assert len(segments) == len(knots) + 1
+            assert list(knots) == sorted(set(knots)) and all(0 < t < 1 for t in knots)
+            assert all(a >= 0 for a, _ in segments)
+            for t, (a, b), (c, e) in zip(knots, segments, segments[1:]):
+                assert a * t + b == c * t + e and (a, b) != (c, e)
+            assert segments[0][1] == 0 and sum(segments[-1]) == 1  # f(0) = 0, f(1) = 1
+
+
+def test_the_maps_are_written_once_and_leave_equality_hashing_and_repr_alone():
+    g = parse("delta ; (h(1/3) | id) ; mu(2/7) ; delta")
+    fresh = parse("delta ; (h(1/3) | id) ; mu(2/7) ; delta")
+    point = parse_point("1/4,1/2,3/4")
+    outs = eval_term(g, (point,))
+    maps = g._maps
+    assert maps is not None and len(maps) == g.m == 2
+    assert eval_term(g, (parse_point("0,1/3,1"),)) and g._maps is maps
+    with pytest.raises(AttributeError):
+        g._maps = None
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert fresh._maps is None
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._plan is None and copy._maps is None
+    assert eval_term(copy, (point,)) == outs and copy._maps == maps
+
+
+def test_only_one_input_terms_are_compiled():
+    g = parse("mu(1/3) ; delta")
+    pts = (parse_point("1/4"), parse_point("1/2"))
+    assert eval_term(g, pts) == interpret(g, pts)
+    assert g._maps is None
+
+
+def test_bad_terms_and_calls_raise_the_same_errors():
+    cycle = GraphTerm(1, 1, (Vertex("mu", (F(1, 2),)), Vertex("delta")), frozenset({
+        (("in", 0), ("vi", 0, 0)), (("vo", 1, 0), ("vi", 0, 1)),
+        (("vo", 0, 0), ("vi", 1, 0)), (("vo", 1, 1), ("out", 0))}))
+    for evaluate in (eval_term, interpret):
+        with pytest.raises(GraphError, match="directed cycle"):
+            evaluate(cycle, (parse_point("1/2"),))
+        g = parse("delta ; mu(1/3)")
+        with pytest.raises(GraphError, match="term has 1 inputs, got 2 points"):
+            evaluate(g, (parse_point("1/2"), parse_point("1/3")))
+        with pytest.raises(GraphError, match=r"point \(1/2\) does not live in dimension 2"):
+            evaluate(g, (parse_point("1/2"),), d=2)
+    assert cycle._maps is None
