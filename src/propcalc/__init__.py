@@ -22,8 +22,8 @@ from .surjections import (SurjType, WeightedSurjection, canonicalize_ws,
                           compose_weighted, counit_class, eliminate_counits,
                           enumerate_basis, equal_ms, expand_graph,
                           identity_ws, leibniz_push, normalize)
-from .chains import (ChainElement, act, chain_compose, chain_eval,
-                     chains_S_check, cup_i, differential, steenrod_square)
+from .chains import (ChainElement, act, chain_compose, chain_eval, cup_i,
+                     differential, steenrod_square)
 from .complexes import SimplicialComplex, coboundary, is_cocycle, rp2
 from .simplex import SimplexPoint, eval_generator, eval_term, face_action
 from .sset import RealizationPoint, SimplicialSet, canonicalize, realization_act

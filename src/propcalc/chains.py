@@ -26,7 +26,8 @@ from operator import itemgetter
 
 from .errors import CompositionError, GraphError, InternalError
 from .graphs import GraphTerm, Permutation, plan_of
-from .surjections import SurjType, expand_graph, normalize, uniform_weights
+from .surjections import (SurjType, _strands_by_wire, expand_graph, normalize,
+                          uniform_weights)
 
 
 @dataclass(frozen=True)
@@ -169,64 +170,34 @@ def _staircases(p, q):
         yield path
 
 
-def _cap_type(t: SurjType, j: int):
-    """Remove output j, which must own a single strand; None if degenerate."""
-    blocks = []
-    for blk in t.blocks:
-        if j in blk:
-            u = blk.index(j)
-            if 0 < u < len(blk) - 1 and blk[u - 1] == blk[u + 1]:
-                return None
-            blk = blk[:u] + blk[u + 1:]
-        blocks.append(tuple(f - 1 if f > j else f for f in blk))
-    return SurjType(t.n, t.m - 1, tuple(blocks))
-
-
 def compose_types(t1: SurjType, t2: SurjType) -> frozenset:
-    """All top cells of the composed cells, mod 2."""
+    """All top cells of the composed cells, mod 2.
+
+    A wire capped by a counit below leaves its strand no pieces; a placement
+    whose neighbors then coincide is degenerate and dropped.
+    """
     if t1.m != t2.n:
         raise CompositionError(f"cannot compose ({t1.n},{t1.m}) above ({t2.n},{t2.m})")
-    x = t1
-    for j in range(t2.n, 0, -1):
-        if t2.blocks[j - 1]:
-            continue
-        if x.output_counts()[j - 1] > 1:
-            return frozenset()  # the composed cell drops dimension
-        x = _cap_type(x, j)
-        if x is None:
-            return frozenset()
-    live_blocks = [blk for blk in t2.blocks if blk]
-
-    wire_tops = {w: [] for w in range(1, x.m + 1)}  # wire -> [(block, pos)]
-    for i, blk in enumerate(x.blocks):
-        for u, f in enumerate(blk):
-            wire_tops[f].append((i, u))
-
+    wires = _strands_by_wire(t1.blocks, t1.m)
     options = []
-    for w in range(1, x.m + 1):
-        options.append(list(_staircases(len(wire_tops[w]), len(live_blocks[w - 1]))))
+    for strands, below in zip(wires, t2.blocks):
+        if below:
+            options.append(list(_staircases(len(strands), len(below))))
+        elif len(strands) > 1:
+            return frozenset()  # the composed cell drops dimension
+        else:
+            options.append([()])
 
     results = set()
     for combo in product(*options):
-        pieces = {}  # (block, pos) -> [f2,...]
-        for w, path in enumerate(combo, start=1):
+        pieces = [[[] for _ in blk] for blk in t1.blocks]  # per top strand: [f2, ...]
+        for strands, below, path in zip(wires, t2.blocks, combo):
             for ia, ib in path:
-                pieces.setdefault(wire_tops[w][ia], []).append(live_blocks[w - 1][ib])
-        blocks = []
-        ok = True
-        for i, blk in enumerate(x.blocks):
-            nb = []
-            for u in range(len(blk)):
-                nb.extend(pieces[(i, u)])
-            for a, b in zip(nb, nb[1:]):
-                if a == b:
-                    ok = False
-                    break
-            if not ok:
-                break
-            blocks.append(tuple(nb))
-        if ok:
-            results ^= {SurjType(x.n, t2.m, tuple(blocks))}
+                i, u = strands[ia]
+                pieces[i][u].append(below[ib])
+        blocks = tuple(tuple(f for strand in blk for f in strand) for blk in pieces)
+        if all(a != b for blk in blocks for a, b in zip(blk, blk[1:])):
+            results ^= {SurjType(t1.n, t2.m, blocks)}
     return frozenset(results)
 
 
@@ -480,8 +451,3 @@ def steenrod_square(k: int, x: frozenset, complex_) -> frozenset:
         raise InternalError("square of a cocycle failed to be a cocycle")
     return y
 
-
-def chains_S_check(g: GraphTerm) -> ChainElement:
-    """Image of a term over the strictly counital presentation in the
-    chain prop; phi cells die, and the counitality relations hold."""
-    return chain_eval(g)

@@ -2,14 +2,13 @@
 
 Subcommands: parse, normalize, compose, eval, act, cup, sq, surface,
 verify, export.  Exit code 1 flags a parse or validation problem, 2 an
-internal invariant failure or a failed verification.  The default output
-format can be set with the PROPCALC_FORMAT environment variable.
+internal invariant failure or a failed verification.  `--format` selects
+the output format; it defaults to text, and to json for `export`.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import chains, complexes, graphs, surfaces, verify
@@ -19,9 +18,8 @@ from .surjections import WeightedSurjection, compose_weighted, normalize
 from .terms import parse as parse_term
 
 
-def _add_format(p, default=None):
-    p.add_argument("--format", choices=["text", "json", "dot", "svg"],
-                   default=default or os.environ.get("PROPCALC_FORMAT", "text"))
+def _add_format(p, default="text"):
+    p.add_argument("--format", choices=["text", "json", "dot", "svg"], default=default)
 
 
 def build_parser():

@@ -108,45 +108,23 @@ def is_cocycle(complex_: SimplicialComplex, cochain: frozenset) -> bool:
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on integer bitmasks
 
-def _rref(rows, keep_bits=None):
-    """Reduced row echelon form; returns (pivot columns, reduced rows).
-
-    With keep_bits set, pivot columns are chosen below that bit only (the
-    higher bits ride along, which implements augmented systems).
-    """
+def _rref(rows):
+    """Reduced row echelon form; returns (pivot columns, reduced rows)."""
     pivots = []
     reduced = []
     for row in rows:
         for c, r in zip(pivots, reduced):
-            if c is not None and row >> c & 1:
+            if row >> c & 1:
                 row ^= r
-        var_part = row if keep_bits is None else row & ((1 << keep_bits) - 1)
         if row == 0:
             continue
-        if var_part == 0:
-            pivots.append(None)  # inconsistent or rhs-only row
-            reduced.append(row)
-            continue
-        c = var_part.bit_length() - 1
+        c = row.bit_length() - 1
         for i in range(len(reduced)):
             if reduced[i] >> c & 1:
                 reduced[i] ^= row
         pivots.append(c)
         reduced.append(row)
     return pivots, reduced
-
-
-def gf2_solve(rows, rhs, nvars):
-    """One solution of the affine system (row_i . x = rhs_i) or None."""
-    aug = [row | (b << nvars) for row, b in zip(rows, rhs)]
-    pivots, reduced = _rref(aug, keep_bits=nvars)
-    x = 0
-    for c, r in zip(pivots, reduced):
-        if c is None:
-            return None  # 0 = 1
-        if r >> nvars & 1:
-            x |= 1 << c
-    return x
 
 
 def kernel_basis(rows, nvars):
@@ -186,16 +164,22 @@ def _coboundary_rows(complex_, q):
 
 
 def is_coboundary(complex_, cochain) -> bool:
-    """Solve delta x = cochain over GF(2)."""
+    """Whether delta x = cochain has a solution over GF(2).
+
+    Each equation is its row of the coboundary matrix with the cochain's
+    value in bit 0, below the variables, so reduction leaves the row 1
+    (0 = 1) exactly when the system is inconsistent.
+    """
     if not cochain:
         return True
     q = {len(f) - 1 for f in cochain}.pop()
     if q == 0:
         return False
-    rows, lower = _coboundary_rows(complex_, q - 1)
+    rows, _ = _coboundary_rows(complex_, q - 1)
     # rows are indexed by q-simplices in order
-    rhs = [1 if sigma in cochain else 0 for sigma in complex_.simplices(q)]
-    return gf2_solve(rows, rhs, len(lower)) is not None
+    rows = [row << 1 | (sigma in cochain)
+            for row, sigma in zip(rows, complex_.simplices(q))]
+    return 1 not in _rref(rows)[1]
 
 
 def cocycle_basis(complex_, q):

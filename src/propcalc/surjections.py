@@ -154,24 +154,20 @@ def uniform_weights(t: SurjType) -> WeightedSurjection:
 
 def _canonical_parts(blocks, weights):
     """Drop zero-weight strands, merge adjacent equal assignments (weights add)."""
-    blocks = [list(b) for b in blocks]
-    weights = [list(w) for w in weights]
-    for i in range(len(blocks)):
-        t = 0
-        while t < len(blocks[i]):
-            if weights[i][t] == 0:
-                del blocks[i][t], weights[i][t]
-                t = max(t - 1, 0)
+    out_blocks, out_weights = [], []
+    for blk, ws in zip(blocks, weights):
+        nb, nw = [], []
+        for f, w in zip(blk, ws):
+            if not w:
                 continue
-            if t + 1 < len(blocks[i]) and blocks[i][t] == blocks[i][t + 1]:
-                weights[i][t] = weights[i][t] + weights[i][t + 1]
-                del blocks[i][t + 1], weights[i][t + 1]
-                if weights[i][t] == 0:
-                    continue
-                t = max(t - 1, 0)
-                continue
-            t += 1
-    return tuple(tuple(b) for b in blocks), tuple(tuple(w) for w in weights)
+            if nb and nb[-1] == f:
+                nw[-1] += w
+            else:
+                nb.append(f)
+                nw.append(w)
+        out_blocks.append(tuple(nb))
+        out_weights.append(tuple(nw))
+    return tuple(out_blocks), tuple(out_weights)
 
 
 def canonicalize_ws(x: WeightedSurjection) -> WeightedSurjection:
@@ -218,43 +214,18 @@ def cap_output_ws(x: WeightedSurjection, j: int) -> WeightedSurjection:
     """Compose with a counit on output j: delete its strands, renumber."""
     if not 1 <= j <= x.m:
         raise GraphError(f"no output {j}")
-    blocks = []
-    weights = []
-    for blk, ws in zip(x.blocks, x.weights):
-        nb, nw = [], []
-        for f, w in zip(blk, ws):
-            if f == j:
-                continue
-            nb.append(f - 1 if f > j else f)
-            nw.append(w)
-        blocks.append(tuple(nb))
-        weights.append(tuple(nw))
-    blocks, weights = _canonical_parts(blocks, weights)
-    return WeightedSurjection(x.n, x.m - 1, blocks, weights)
+    return compose_weighted(
+        x, horizontal_ws([identity_ws(j - 1), counit_class(1), identity_ws(x.m - j)]))
 
 
-def _refine(widths_a, widths_b):
-    """Common refinement of two partitions of the same interval.
-
-    Returns (index_a, index_b, width) for the positive-width pieces, left
-    to right.  The two width lists must have equal totals.
-    """
-    from itertools import accumulate
-    if sum(widths_a, Fraction(0)) != sum(widths_b, Fraction(0)):
-        raise InternalError("partition totals differ")
-    cum_a = list(accumulate(widths_a))
-    cum_b = list(accumulate(widths_b))
-    cuts = sorted(set(cum_a) | set(cum_b) | {Fraction(0)})
-    pieces = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        ia = next(i for i, c in enumerate(cum_a)
-                  if c >= hi and widths_a[i] > 0 and c - widths_a[i] <= lo)
-        ib = next(i for i, c in enumerate(cum_b)
-                  if c >= hi and widths_b[i] > 0 and c - widths_b[i] <= lo)
-        pieces.append((ia, ib, hi - lo))
-    return pieces
+def _strands_by_wire(blocks, m):
+    """Positions (block, index) of the strands into each of the m outputs,
+    in strand order."""
+    wires = [[] for _ in range(m)]
+    for i, blk in enumerate(blocks):
+        for t, f in enumerate(blk):
+            wires[f - 1].append((i, t))
+    return wires
 
 
 def compose_weighted(top: WeightedSurjection, bottom: WeightedSurjection) -> WeightedSurjection:
@@ -264,48 +235,33 @@ def compose_weighted(top: WeightedSurjection, bottom: WeightedSurjection) -> Wei
     of the top element's strands into that output, scaled by the wire's
     total weight below) is overlaid with the bottom partition (the weights
     of the bottom block); the common refinement gives the composite's
-    strands, routed to the bottom's outputs.
+    strands, routed to the bottom's outputs.  A wire capped by a counit
+    below has total 0, so its strands leave no pieces.
     """
     if top.m != bottom.n:
         raise CompositionError(
             f"cannot compose ({top.n},{top.m}) above ({bottom.n},{bottom.m})")
-    x = top
-    # a counit-capped input below kills the corresponding output above
-    for j in range(bottom.n, 0, -1):
-        if not bottom.blocks[j - 1]:
-            x = cap_output_ws(x, j)
-    live = [j for j in range(1, bottom.n + 1) if bottom.blocks[j - 1]]
-
-    # per wire: ordered top strand ids and scaled widths, bottom widths
-    top_strands = {j: [] for j in range(1, x.m + 1)}  # wire -> [(block, pos)]
-    for i, (blk, ws) in enumerate(zip(x.blocks, x.weights)):
-        for t, (f, w) in enumerate(zip(blk, ws)):
-            top_strands[f].append((i, t, w))
-
-    piece_lists = {}  # (block i, pos t) -> list of (f2, width)
-    for wire_idx, j in enumerate(live, start=1):
-        blk_b = bottom.blocks[j - 1]
-        ws_b = bottom.weights[j - 1]
+    pieces = [[[] for _ in blk] for blk in top.blocks]  # per top strand: [(f2, width)]
+    for strands, outs, ws_b in zip(_strands_by_wire(top.blocks, top.m),
+                                   bottom.blocks, bottom.weights):
         total = sum(ws_b, Fraction(0))
-        tops = top_strands[wire_idx]
-        widths_a = [w * total for (_, _, w) in tops]
-        pieces = _refine(widths_a, list(ws_b))
-        for ia, ib, width in pieces:
-            key = tops[ia][:2]
-            piece_lists.setdefault(key, []).append((blk_b[ib], width))
-
-    blocks = []
-    weights = []
-    for i, blk in enumerate(x.blocks):
-        nb, nw = [], []
-        for t in range(len(blk)):
-            for f2, width in piece_lists.get((i, t), []):
-                nb.append(f2)
-                nw.append(width)
-        blocks.append(tuple(nb))
-        weights.append(tuple(nw))
-    blocks, weights = _canonical_parts(blocks, weights)
-    return WeightedSurjection(x.n, bottom.m, blocks, weights)
+        b, room = -1, 0
+        for i, t in strands:
+            width = top.weights[i][t] * total
+            while width:
+                while not room:
+                    b += 1
+                    if b == len(ws_b):
+                        raise InternalError("partition totals differ")
+                    room = ws_b[b]
+                piece = min(width, room)
+                pieces[i][t].append((outs[b], piece))
+                width -= piece
+                room -= piece
+    blocks, weights = _canonical_parts(
+        [[f for strand in blk for f, _ in strand] for blk in pieces],
+        [[w for strand in blk for _, w in strand] for blk in pieces])
+    return WeightedSurjection(top.n, bottom.m, blocks, weights)
 
 
 def enumerate_basis(n: int, m: int, degree: int):

@@ -79,11 +79,14 @@ def crit2_basis_counts(seed=DEFAULT_SEED):
             want = _brute_count(m, m + k)
             if got != want:
                 bad.append((m, k, got, want))
-    anchor = len(enumerate_basis(2, 1, 1))  # the binary product cell
-    two = len(enumerate_basis(1, 2, 1))
-    ok = not bad and two == 2 and anchor == 1
+    product_cells = len(enumerate_basis(2, 1, 1))  # the binary product cell
+    cup1_cells = len(enumerate_basis(1, 2, 1))  # 121 and 212
+    ok = not bad and cup1_cells == 2 and product_cells == 1
+    counts = ("all match" if not bad
+              else f"{len(bad)} mismatches, first (m, k, got, want) {bad[:3]}")
     return _outcome(2, "basis counts", ok,
-                    f"m<=4, k<=4 all match; (2,1) anchor = {two}", t0)
+                    f"m<=4, k<=4 {counts}; degree-1 anchors (1,2) = {cup1_cells}, "
+                    f"(2,1) = {product_cells}", t0)
 
 
 def _brute_count(m, length):

@@ -58,3 +58,18 @@ def test_full_run_under_the_time_budget():
     elapsed = time.time() - t0
     assert all(r.passed for r in results)
     assert elapsed < 300, f"verification took {elapsed:.0f}s, budget is 300s"
+
+
+def test_criterion_2_detail_names_each_anchor_and_the_mismatches(monkeypatch):
+    res = verify.crit2_basis_counts()
+    assert res.detail == "m<=4, k<=4 all match; degree-1 anchors (1,2) = 2, (2,1) = 1"
+
+    real = verify.enumerate_basis
+    monkeypatch.setattr(verify, "enumerate_basis",
+                        lambda n, m, k: real(n, m, k)[1:] if (n, m) == (1, 3) else real(n, m, k))
+    res = verify.crit2_basis_counts()
+    assert not res.passed
+    assert "all match" not in res.detail
+    assert res.detail == ("m<=4, k<=4 5 mismatches, first (m, k, got, want) "
+                          "[(3, 0, 5, 6), (3, 1, 17, 18), (3, 2, 41, 42)]; "
+                          "degree-1 anchors (1,2) = 2, (2,1) = 1")

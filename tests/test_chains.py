@@ -1,19 +1,21 @@
+import functools
 import random
 from itertools import combinations, product
 
 import pytest
 
-from propcalc.chains import (ChainElement, act, act_type, chain_compose,
-                             chain_eval, chains_S_check, compose_types,
+from propcalc import chains
+from propcalc.chains import (ChainElement, _staircases, act, act_type, chain_compose,
+                             chain_eval, compose_types,
                              cup_i, cup_type, delta_type, differential,
                              differential_via_graphs, diff_type, eps_type,
                              face_boundary, horizontal_chain, identity_type,
                              mu_type, permute_inputs_chain, permute_outputs_chain,
                              splittings, tensor_boundary)
 from propcalc.complexes import SimplicialComplex, circle, rp2
-from propcalc.errors import GraphError
+from propcalc.errors import CompositionError, GraphError
 from propcalc.graphs import Permutation
-from propcalc.surjections import SurjType, enumerate_basis, random_stype
+from propcalc.surjections import SurjType, enumerate_basis, random_stype, random_sterm
 from propcalc.terms import parse
 
 
@@ -198,10 +200,10 @@ def test_chain_eval_generators():
 
 def test_chains_S_relations_hold_in_the_quotient():
     # productcounit
-    assert chains_S_check(parse("mu(1/2) ; eps")).is_zero()
+    assert chain_eval(parse("mu(1/2) ; eps")).is_zero()
     # left and right counitality
-    left = chains_S_check(parse("delta ; (eps | id)"))
-    right = chains_S_check(parse("delta ; (id | eps)"))
+    left = chain_eval(parse("delta ; (eps | id)"))
+    right = chain_eval(parse("delta ; (id | eps)"))
     assert left.support == right.support == frozenset({identity_type(1)})
 
 
@@ -357,3 +359,111 @@ def test_cup_i_matches_the_per_simplex_brute_force(make):
                     assert cup_i(i, a, b, complex_) == brute_force_cup(i, a, b, complex_)
                     checked += 1
     assert checked >= 12
+
+
+# --- oracle: compose_types with a counit-capping prologue ---------------------
+
+def _old_cap_type(t: SurjType, j: int):
+    """Remove output j, which must own a single strand; None if degenerate."""
+    blocks = []
+    for blk in t.blocks:
+        if j in blk:
+            u = blk.index(j)
+            if 0 < u < len(blk) - 1 and blk[u - 1] == blk[u + 1]:
+                return None
+            blk = blk[:u] + blk[u + 1:]
+        blocks.append(tuple(f - 1 if f > j else f for f in blk))
+    return SurjType(t.n, t.m - 1, tuple(blocks))
+
+
+def _old_compose_types(t1: SurjType, t2: SurjType) -> frozenset:
+    """All top cells of the composed cells, mod 2."""
+    if t1.m != t2.n:
+        raise CompositionError(f"cannot compose ({t1.n},{t1.m}) above ({t2.n},{t2.m})")
+    x = t1
+    for j in range(t2.n, 0, -1):
+        if t2.blocks[j - 1]:
+            continue
+        if x.output_counts()[j - 1] > 1:
+            return frozenset()  # the composed cell drops dimension
+        x = _old_cap_type(x, j)
+        if x is None:
+            return frozenset()
+    live_blocks = [blk for blk in t2.blocks if blk]
+
+    wire_tops = {w: [] for w in range(1, x.m + 1)}  # wire -> [(block, pos)]
+    for i, blk in enumerate(x.blocks):
+        for u, f in enumerate(blk):
+            wire_tops[f].append((i, u))
+
+    options = []
+    for w in range(1, x.m + 1):
+        options.append(list(_staircases(len(wire_tops[w]), len(live_blocks[w - 1]))))
+
+    results = set()
+    for combo in product(*options):
+        pieces = {}  # (block, pos) -> [f2,...]
+        for w, path in enumerate(combo, start=1):
+            for ia, ib in path:
+                pieces.setdefault(wire_tops[w][ia], []).append(live_blocks[w - 1][ib])
+        blocks = []
+        ok = True
+        for i, blk in enumerate(x.blocks):
+            nb = []
+            for u in range(len(blk)):
+                nb.extend(pieces[(i, u)])
+            for a, b in zip(nb, nb[1:]):
+                if a == b:
+                    ok = False
+                    break
+            if not ok:
+                break
+            blocks.append(tuple(nb))
+        if ok:
+            results ^= {SurjType(x.n, t2.m, tuple(blocks))}
+    return frozenset(results)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(n, m, k):
+    return enumerate_basis(n, m, k)
+
+
+def _random_capped_pair(rng):
+    """A composable pair of types whose bottom has capped blocks more often than not."""
+    options = []
+    while not options:
+        options = _basis(rng.randint(1, 2), rng.randint(1, 3), rng.randint(0, 2))
+    bottom = list(rng.choice(options).blocks)
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        bottom.insert(rng.randint(0, len(bottom)), ())
+    bottom = SurjType(len(bottom), options[0].m, tuple(bottom))
+    while True:
+        options = _basis(rng.randint(1, 2), bottom.n, rng.randint(0, 2))
+        if options:
+            return rng.choice(options), bottom
+
+
+def test_compose_types_matches_the_capping_oracle():
+    rng = random.Random(53)
+    capped = nonzero_capped = 0
+    for _ in range(2000):
+        t1, t2 = _random_capped_pair(rng)
+        new = compose_types(t1, t2)
+        assert new == _old_compose_types(t1, t2)
+        capped += () in t2.blocks
+        nonzero_capped += () in t2.blocks and bool(new)
+    assert capped > 1000 and nonzero_capped > 300
+
+
+def test_chain_eval_matches_the_capping_oracle_on_terms_with_counits(monkeypatch):
+    rng = random.Random(54)
+    terms = []
+    while len(terms) < 1000:
+        g = random_sterm(rng)
+        if any(v.kind == "eps" for v in g.vertices):
+            terms.append(g)
+    new = [chain_eval(g) for g in terms]
+    monkeypatch.setattr(chains, "compose_types", _old_compose_types)
+    assert new == [chain_eval(g) for g in terms]
+    assert sum(not x.is_zero() for x in new) > 300

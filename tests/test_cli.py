@@ -240,3 +240,12 @@ def test_a_weight_too_long_to_print_exits_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "error: a result coordinate has too many digits to print"
+
+
+def test_the_format_environment_variable_changes_nothing(capsys, monkeypatch):
+    monkeypatch.setenv("PROPCALC_FORMAT", "json")
+    assert run(["normalize", "delta"]) == 0
+    assert capsys.readouterr().out.strip() == "surj n=1 m=2 : 1/1 2/1"
+    monkeypatch.setenv("PROPCALC_FORMAT", "xml")
+    assert run(["normalize", "delta"]) == 0
+    assert capsys.readouterr().out.strip() == "surj n=1 m=2 : 1/1 2/1"

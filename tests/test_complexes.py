@@ -145,3 +145,37 @@ def test_sq_rejects_non_cocycles():
     K = rp2()
     with pytest.raises(GraphError):
         steenrod_square(1, frozenset({(1, 2)}), K)
+
+
+def _all_coboundaries(K, q):
+    """Every delta x for x a (q-1)-cochain, one face toggled at a time (Gray code)."""
+    lower = K.simplices(q - 1)
+    x, images = frozenset(), {frozenset()}
+    for k in range(1, 2 ** len(lower)):
+        x ^= {lower[(k & -k).bit_length() - 1]}
+        images.add(coboundary(K, x))
+    return images
+
+
+@pytest.mark.parametrize("make", [
+    lambda: circle(4), lambda: circle(5), rp2, lambda: SimplicialComplex.standard_simplex(3),
+    sphere2, lambda: SimplicialComplex(list(combinations(range(5), 3)))],
+    ids=["circle4", "circle5", "rp2", "simplex3", "sphere2", "simplex4-2skeleton"])
+def test_is_coboundary_matches_brute_force_enumeration(make):
+    K = make()
+    rng = random.Random(61)
+    checked = 0
+    for q in range(1, K.dim + 1):
+        images = _all_coboundaries(K, q)
+        faces = K.simplices(q)
+        if len(faces) <= 10:
+            cochains = [frozenset(f for k, f in enumerate(faces) if bits >> k & 1)
+                        for bits in range(2 ** len(faces))]
+        else:
+            cochains = list(images) + [frozenset(f for f in faces if rng.random() < 0.5)
+                                       for _ in range(300)]
+        for c in cochains:
+            assert is_coboundary(K, c) == (c in images), (q, sorted(c))
+        checked += len(cochains)
+    assert not is_coboundary(K, frozenset({K.simplices(0)[0]}))
+    assert checked >= 16

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from propcalc.errors import GraphError, WeightingError
+from propcalc.errors import (CompositionError, GraphError, InternalError, PropcalcError,
+                             WeightingError)
 from propcalc.generators import EdgeWeighting, to_edge_weights
 from propcalc.graphs import (Permutation, iso_equal, sources_by_target, unit,
                              vertical_compose)
-from propcalc.surjections import (WeightedSurjection, canonicalize_ws,
-                                  cap_output_ws, compose_weighted, counit_class,
+from propcalc.surjections import (SurjType, WeightedSurjection, _canonical_parts,
+                                  canonicalize_ws, cap_output_ws, compose_weighted, counit_class,
                                   eliminate_counits, enumerate_basis, equal_ms,
                                   expand_graph, horizontal_ws, identity_ws,
                                   leibniz_push, normalize, permute_inputs_ws,
@@ -345,3 +346,229 @@ def test_confluence_at_size():
 def test_normalize_refuses_phi():
     with pytest.raises(GraphError, match="phi generator is not part of this presentation"):
         normalize(parse("h(1/2)"))
+
+
+# --- oracle: compose_weighted with a counit-capping prologue and a rescanning refine
+
+def _old_canonical_parts(blocks, weights):
+    """Drop zero-weight strands, merge adjacent equal assignments (weights add)."""
+    blocks = [list(b) for b in blocks]
+    weights = [list(w) for w in weights]
+    for i in range(len(blocks)):
+        t = 0
+        while t < len(blocks[i]):
+            if weights[i][t] == 0:
+                del blocks[i][t], weights[i][t]
+                t = max(t - 1, 0)
+                continue
+            if t + 1 < len(blocks[i]) and blocks[i][t] == blocks[i][t + 1]:
+                weights[i][t] = weights[i][t] + weights[i][t + 1]
+                del blocks[i][t + 1], weights[i][t + 1]
+                if weights[i][t] == 0:
+                    continue
+                t = max(t - 1, 0)
+                continue
+            t += 1
+    return tuple(tuple(b) for b in blocks), tuple(tuple(w) for w in weights)
+
+
+def _old_cap_output_ws(x: WeightedSurjection, j: int) -> WeightedSurjection:
+    """Compose with a counit on output j: delete its strands, renumber."""
+    if not 1 <= j <= x.m:
+        raise GraphError(f"no output {j}")
+    blocks = []
+    weights = []
+    for blk, ws in zip(x.blocks, x.weights):
+        nb, nw = [], []
+        for f, w in zip(blk, ws):
+            if f == j:
+                continue
+            nb.append(f - 1 if f > j else f)
+            nw.append(w)
+        blocks.append(tuple(nb))
+        weights.append(tuple(nw))
+    blocks, weights = _old_canonical_parts(blocks, weights)
+    return WeightedSurjection(x.n, x.m - 1, blocks, weights)
+
+
+def _old_refine(widths_a, widths_b):
+    """Common refinement of two partitions of the same interval.
+
+    Returns (index_a, index_b, width) for the positive-width pieces, left
+    to right.  The two width lists must have equal totals.
+    """
+    from itertools import accumulate
+    if sum(widths_a, Fraction(0)) != sum(widths_b, Fraction(0)):
+        raise InternalError("partition totals differ")
+    cum_a = list(accumulate(widths_a))
+    cum_b = list(accumulate(widths_b))
+    cuts = sorted(set(cum_a) | set(cum_b) | {Fraction(0)})
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi <= lo:
+            continue
+        ia = next(i for i, c in enumerate(cum_a)
+                  if c >= hi and widths_a[i] > 0 and c - widths_a[i] <= lo)
+        ib = next(i for i, c in enumerate(cum_b)
+                  if c >= hi and widths_b[i] > 0 and c - widths_b[i] <= lo)
+        pieces.append((ia, ib, hi - lo))
+    return pieces
+
+
+def _old_compose_weighted(top: WeightedSurjection, bottom: WeightedSurjection) -> WeightedSurjection:
+    """Vertical composition by overlaying scaled strand partitions.
+
+    Each intermediate wire is a rectangle whose top partition (the weights
+    of the top element's strands into that output, scaled by the wire's
+    total weight below) is overlaid with the bottom partition (the weights
+    of the bottom block); the common refinement gives the composite's
+    strands, routed to the bottom's outputs.
+    """
+    if top.m != bottom.n:
+        raise CompositionError(
+            f"cannot compose ({top.n},{top.m}) above ({bottom.n},{bottom.m})")
+    x = top
+    # a counit-capped input below kills the corresponding output above
+    for j in range(bottom.n, 0, -1):
+        if not bottom.blocks[j - 1]:
+            x = _old_cap_output_ws(x, j)
+    live = [j for j in range(1, bottom.n + 1) if bottom.blocks[j - 1]]
+
+    # per wire: ordered top strand ids and scaled widths, bottom widths
+    top_strands = {j: [] for j in range(1, x.m + 1)}  # wire -> [(block, pos)]
+    for i, (blk, ws) in enumerate(zip(x.blocks, x.weights)):
+        for t, (f, w) in enumerate(zip(blk, ws)):
+            top_strands[f].append((i, t, w))
+
+    piece_lists = {}  # (block i, pos t) -> list of (f2, width)
+    for wire_idx, j in enumerate(live, start=1):
+        blk_b = bottom.blocks[j - 1]
+        ws_b = bottom.weights[j - 1]
+        total = sum(ws_b, Fraction(0))
+        tops = top_strands[wire_idx]
+        widths_a = [w * total for (_, _, w) in tops]
+        pieces = _old_refine(widths_a, list(ws_b))
+        for ia, ib, width in pieces:
+            key = tops[ia][:2]
+            piece_lists.setdefault(key, []).append((blk_b[ib], width))
+
+    blocks = []
+    weights = []
+    for i, blk in enumerate(x.blocks):
+        nb, nw = [], []
+        for t in range(len(blk)):
+            for f2, width in piece_lists.get((i, t), []):
+                nb.append(f2)
+                nw.append(width)
+        blocks.append(tuple(nb))
+        weights.append(tuple(nw))
+    blocks, weights = _old_canonical_parts(blocks, weights)
+    return WeightedSurjection(x.n, bottom.m, blocks, weights)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PropcalcError as exc:
+        return type(exc), str(exc)
+
+
+def _random_cell(rng, n, m, r, capped=0, zeroed=False):
+    """A random point of a cell with n nonempty blocks, m outputs and r >= n
+    strands (r = n when m = 1), with `capped` empty blocks inserted at random
+    places and, if `zeroed`, one strand of a shared output weighted 0."""
+    cuts = sorted(rng.sample(range(1, r), n - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [r])]
+    while True:
+        blocks = []
+        for size in sizes:
+            blk = []
+            for _ in range(size):
+                blk.append(rng.choice([f for f in range(1, m + 1) if not blk or f != blk[-1]]))
+            blocks.append(tuple(blk))
+        if len({f for blk in blocks for f in blk}) == m:
+            break
+    for _ in range(capped):
+        blocks.insert(rng.randint(0, len(blocks)), ())
+    t = SurjType(n + capped, m, tuple(blocks))
+    shared = [k for k, f in enumerate(f for blk in blocks for f in blk)
+              if t.output_counts()[f - 1] > 1]
+    boundary = rng.choice(shared) if zeroed and shared else None
+    return random_weights(rng, t, boundary_strand=boundary)
+
+
+def _random_pair(rng, max_strands=6, zero_rate=0.3):
+    """A composable (top, bottom) pair whose bottom often has capped blocks;
+    each side has a zero-weight strand with probability `zero_rate`."""
+    if rng.random() < 0.1:
+        bottom = counit_class(rng.randint(1, 3))
+    else:
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        r = n if m == 1 else rng.randint(max(n, m), max_strands)
+        bottom = _random_cell(rng, n, m, r, capped=rng.choice([0, 1, 1, 2]),
+                              zeroed=rng.random() < zero_rate)
+    m = bottom.n
+    n = rng.randint(1, 3)
+    r = n if m == 1 else rng.randint(max(n, m), max(n, m, max_strands))
+    return _random_cell(rng, n, m, r, zeroed=rng.random() < zero_rate), bottom
+
+
+def test_compose_weighted_matches_the_capping_oracle():
+    rng = random.Random(41)
+    capped = 0
+    for _ in range(2000):
+        x, y = _random_pair(rng)
+        capped += () in y.blocks
+        assert compose_weighted(x, y) == _old_compose_weighted(x, y)
+    assert capped > 1000
+    bad = W(1, 2, [(1, 2)], [(1, 1)])
+    assert _outcome(compose_weighted, bad, counit_class(1)) == \
+        _outcome(_old_compose_weighted, bad, counit_class(1))
+
+
+def test_compose_weighted_raises_when_the_bottom_partition_runs_out():
+    # a top whose output weights were never checked: its wire is wider than the block below
+    wide = object.__new__(WeightedSurjection)
+    for field, value in (("n", 1), ("m", 1), ("blocks", ((1,),)), ("weights", ((Fraction(2),),))):
+        object.__setattr__(wide, field, value)
+    with pytest.raises(InternalError, match="partition totals differ"):
+        compose_weighted(wide, identity_ws(1))
+
+
+def test_cap_output_matches_the_oracle_at_every_output_and_out_of_range():
+    rng = random.Random(42)
+    calls = 0
+    for _ in range(1000):
+        x, y = _random_pair(rng)
+        for z in (x, compose_weighted(x, y)):
+            for j in range(0, z.m + 2):
+                assert _outcome(cap_output_ws, z, j) == _outcome(_old_cap_output_ws, z, j)
+                calls += 1
+    assert calls > 8000
+
+
+def test_canonical_parts_matches_the_oracle():
+    rng = random.Random(43)
+    values = [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for _ in range(5000):
+        blocks, weights = [], []
+        for _ in range(rng.randint(0, 4)):
+            size = rng.randint(0, 6)
+            blocks.append([rng.randint(1, 3) for _ in range(size)])
+            weights.append([rng.choice(values) for _ in range(size)])
+        assert _canonical_parts(blocks, weights) == _old_canonical_parts(blocks, weights)
+
+
+def test_compose_matches_graph_route_with_capped_blocks_and_larger_cells():
+    # interior weights only: expand_graph turns a zero-weight strand entering a
+    # product into mu(0) or mu(1), which normalize reads as capping the other input
+    rng = random.Random(44)
+    capped = 0
+    for _ in range(150):
+        x, y = _random_pair(rng, max_strands=8, zero_rate=0)
+        if not y.m:
+            continue
+        capped += () in y.blocks
+        stacked = normalize(vertical_compose(expand_graph(x), expand_graph(y)))
+        assert compose_weighted(x, y) == stacked
+    assert capped > 60
