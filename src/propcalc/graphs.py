@@ -13,8 +13,8 @@ first `validate` that finds a term valid stores the term's `Plan` on it,
 written once and read-only: the source feeding each target endpoint, the
 target fed by each source, and the default topological order.  Every
 traversal reads the plan instead of the edge set, and a later `validate`
-of the term returns at once.  A valid (1,m) term likewise gains its
-compiled interval maps, written once, on its first `simplex.eval_term`.
+of the term returns at once.  A valid term likewise gains its compiled
+program of interval maps, written once, on its first `simplex.eval_term`.
 Every graph rewrite (the attaching maps, the relations, the normalizer's
 passes and `absorb_equivalences`) edits a `Wiring`, the one mutable form
 of a term, and exports it back with `Wiring.to_term`.
@@ -83,8 +83,8 @@ class GraphTerm:
     edges: frozenset
     # set once, by the first `validate` that finds the term valid
     _plan: Plan = field(default=None, init=False, repr=False, compare=False)
-    # set once, by the first `simplex.eval_term` of a valid (1,m) term: the
-    # compiled interval map of each output
+    # set once, by the first `simplex.eval_term` of a valid term: its
+    # compiled `simplex.Program` of interval maps
     _maps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -9,16 +9,19 @@ cap.  Exact rationals by default; floats work for experiments, compared
 against a tolerance.
 
 Every one of these interval maps is continuous, monotone and piecewise
-linear, so output j of a (1,m) term is x -> (f_j(x_1), ..., f_j(x_d)) for
-one such map f_j of [0,1].  The first `eval_term` of a valid (1,m) term
-compiles the maps once, in the plan's order, and stores them on the term,
-written once like its plan: per output the interior knots and one exact
-(slope, intercept) pair per segment.  Evaluating is then one bisection
-and one a*x + b per coordinate; a float coordinate is mapped exactly at
+linear, so a term is compiled once, on its first `eval_term`, into a
+program of such maps, stored on the term and written once like its plan.
+Each wire carries a base (an input, or a mix of two earlier values) and
+one map of [0,1]: a diagonal or homotopy composes into the map, a product
+of two wires on the same base folds the two maps into one, and a product
+of two different bases becomes a new mix.  Output j is then
+x -> (f_j(x_1), ..., f_j(x_d)) on its base, and every map is stored as
+its interior knots and one exact (slope, intercept) pair per segment.
+Evaluating is one bisection and at most one a*x + b per coordinate for
+each mix side and each output; a float coordinate is mapped exactly at
 its binary value and rounded once, so it never leaves [0,1] by rounding.
-Terms with any other number of inputs run `interpret`, generator by
-generator, which is also the reference the compiled maps are tested
-against.
+`interpret` runs a term generator by generator and is the reference the
+program is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import le
+from operator import add, le, or_
+from typing import NamedTuple
 
 from .errors import GraphError, ParseError
 from .graphs import GraphTerm, plan_of, require_valid
@@ -158,34 +162,42 @@ def _inputs(g: GraphTerm, points, d):
 def eval_term(g: GraphTerm, points, d=None):
     """Evaluate a term on one point per input; returns the output tuple.
 
-    A (1,m) term acts through its compiled interval maps, built on its
-    first evaluation; any other term is interpreted.
+    The term runs as its compiled `Program`, built on its first evaluation.
     """
     plan = plan_of(g)
     points = _inputs(g, points, d)
-    if g.n != 1:
-        return _interpret(g, plan, points)
-    maps = g._maps if g._maps is not None else _compile(g, plan)
-    xs = points[0].coords
-    outs = []
-    for knots, segments in maps:
-        coords = []
-        for x in xs:
-            a, b = segments[bisect_right(knots, x)]
+    joins, mixes, outputs = g._maps if g._maps is not None else _compile(g, plan)
+    for i, j in joins:
+        if points[i].d != points[j].d:
+            raise GraphError("product needs points of equal dimension")
+    values, floats = [], []  # per base: exact coordinates, and which were floats
+    for p in points:
+        if any(type(x) is float for x in p.coords):
             # exact at a float's binary value: a*x + b in floats cancels
             # badly on steep segments and can leave [0,1]
-            coords.append(a * x + b if type(x) is not float else float(a * Fraction(x) + b))
+            values.append(tuple(Fraction(x) if type(x) is float else x for x in p.coords))
+            floats.append(tuple(type(x) is float for x in p.coords))
+        else:
+            values.append(p.coords)
+            floats.append(None)
+    for (a, f), (b, h) in mixes:
+        values.append(tuple(map(add, _apply(f, values[a]), _apply(h, values[b]))))
+        fa, fb = floats[a], floats[b]
+        floats.append(fb if fa is None else fa if fb is None else tuple(map(or_, fa, fb)))
+    outs = []
+    for base, f in outputs:
+        coords = _apply(f, values[base])
+        if floats[base] is not None:
+            coords = [float(y) if r else y for y, r in zip(coords, floats[base])]
         outs.append(SimplexPoint(tuple(coords)))
     return tuple(outs)
 
 
 def interpret(g: GraphTerm, points, d=None):
-    """Evaluate a term generator by generator, in the plan's order."""
-    return _interpret(g, plan_of(g), _inputs(g, points, d))
-
-
-def _interpret(g, plan, points):
-    value = {plan.tgt[("in", i)]: p for i, p in enumerate(points)}  # dst endpoint -> point
+    """Evaluate a term generator by generator, in the plan's order: the
+    reference for `eval_term`."""
+    plan = plan_of(g)
+    value = {plan.tgt[("in", i)]: p for i, p in enumerate(_inputs(g, points, d))}  # dst endpoint -> point
     for v in plan.order:
         vert = g.vertices[v]
         s = vert.params[0] if vert.params else None
@@ -197,12 +209,27 @@ def _interpret(g, plan, points):
 
 
 # ---------------------------------------------------------------------------
-# compiled interval maps
+# compiled programs
 #
 # A map is (knots, segments): the interior knots 0 < t_1 < ... < t_k < 1
 # and k+1 pairs (a, b), the map being a*x + b on [t_i, t_{i+1}] with
 # t_0 = 0 and t_{k+1} = 1.  Adjacent segments always differ, so the knots
 # are exactly the breaks.
+
+
+class Program(NamedTuple):
+    """A term as interval maps on bases.
+
+    Bases 0..n-1 are the inputs and base n+k is the value of mix k.  Each
+    mix is ((a, f), (b, h)), the sum f(x_a) + h(x_b) coordinate by
+    coordinate, with the product's weights s and 1-s folded into f and h.
+    `joins` are the input pairs that some product, live or capped, puts
+    side by side: their points must have equal dimension.
+    """
+    joins: tuple    # (i, j) with i < j
+    mixes: tuple    # ((a, f), (b, h)), each reading only earlier bases
+    outputs: tuple  # (base, map) per output
+
 
 _HALF = Fraction(1, 2)
 _IDENTITY = ((), ((Fraction(1), Fraction(0)),))
@@ -282,22 +309,52 @@ def _convex_maps(s, f, g):
             j += 1
 
 
+def _scaled(c, f):
+    """x -> c*f(x), as the linear map x -> c*x after f."""
+    return _compose_maps(((), ((c, Fraction(0)),)), f)
+
+
+def _apply(f, xs):
+    """The map f at each exact coordinate of xs."""
+    if f is _IDENTITY:
+        return xs
+    knots, segments = f
+    out = []
+    for x in xs:
+        a, b = segments[bisect_right(knots, x)]
+        # a constant segment, or one through 0, needs one Fraction operation or none
+        out.append(b if not a else a * x if not b else a * x + b)
+    return out
+
+
 def _compile(g, plan):
-    """The interval maps of the valid (1,m) term g, stored on it once."""
-    value = {plan.tgt[("in", 0)]: _IDENTITY}  # dst endpoint -> the map reaching it
+    """The program of the valid term g, stored on it once."""
+    value = {plan.tgt[("in", i)]: (i, _IDENTITY) for i in range(g.n)}  # dst endpoint -> (base, map)
+    reads = list(range(g.n))  # base -> one input it reads
+    joins, mixes = {}, []
     for v in plan.order:
         vert = g.vertices[v]
         ins = [value.pop(("vi", v, k)) for k in range(vert.arity[0])]
         if vert.kind == "mu":
-            outs = (_convex_maps(vert.params[0], *ins),)
+            s = vert.params[0]
+            (a, f), (b, h) = ins
+            if reads[a] != reads[b]:
+                joins[min(reads[a], reads[b]), max(reads[a], reads[b])] = None
+            if a == b:
+                outs = ((a, _convex_maps(s, f, h)),)
+            else:
+                mixes.append(((a, _scaled(s, f)), (b, _scaled(1 - s, h))))
+                reads.append(reads[a])
+                outs = ((len(reads) - 1, _IDENTITY),)
         else:
+            ((base, f),) = ins
             s = vert.params[0] if vert.params else None
-            outs = tuple(_compose_maps(f, ins[0]) for f in _generator_maps(vert.kind, s))
+            outs = tuple((base, _compose_maps(h, f)) for h in _generator_maps(vert.kind, s))
         for k, out in enumerate(outs):
             value[plan.tgt[("vo", v, k)]] = out
-    maps = tuple(value[("out", j)] for j in range(g.m))
-    object.__setattr__(g, "_maps", maps)
-    return maps
+    program = Program(tuple(joins), tuple(mixes), tuple(value[("out", j)] for j in range(g.m)))
+    object.__setattr__(g, "_maps", program)
+    return program
 
 
 # ---------------------------------------------------------------------------

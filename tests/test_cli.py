@@ -181,6 +181,13 @@ def test_eval_rejects_bad_points(capsys, point, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_eval_rejects_a_capped_product_of_points_of_unequal_dimension(capsys):
+    assert run(["eval", "--term", "mu(1/3) ; eps", "--point", "1/4", "--point", "1/4,1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: product needs points of equal dimension"
+
+
 def test_eval_prints_a_non_monotone_point_as_rationals(capsys):
     assert run(["eval", "--term", "delta", "--point", "1/2,1/3"]) == 1
     assert capsys.readouterr().err.strip() == "error: coordinates not monotone: (1/2,1/3)"

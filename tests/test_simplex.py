@@ -4,6 +4,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propcalc.errors import GraphError, ParseError
 from propcalc.generators import S, apply_attaching, corolla
@@ -232,7 +234,7 @@ def test_parse_point_keeps_long_coordinates_within_the_digit_limit():
 
 
 # ---------------------------------------------------------------------------
-# compiled interval maps of (1,m) terms against the interpreter
+# compiled programs against the interpreter
 
 ID_VERTEX = GraphTerm(1, 1, (Vertex("id"),), frozenset({
     (("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("out", 0))}))
@@ -242,11 +244,11 @@ def _parameter(rng):
     return rng.choice((F(0), F(1), F(rng.randint(1, 15), 16)))
 
 
-def _one_input_term(rng, vertices, max_width=6):
-    """A valid (1,m) term of exactly `vertices` vertices, layer by layer,
+def _random_term(rng, n, vertices, max_width=6):
+    """A valid (n,m) term of exactly `vertices` vertices, layer by layer,
     over delta, phi, id, eps and mu, with parameters 0 and 1 among them."""
-    g = unit(1)
-    width = 1
+    g = unit(n)
+    width = n
     for step in range(vertices):
         if width == 1:
             kinds = ("delta", "phi", "id") + (("eps",) if step == vertices - 1 else ())
@@ -268,14 +270,40 @@ def _one_input_term(rng, vertices, max_width=6):
     return GraphTerm(g.n, g.m, g.vertices, g.edges)  # fresh: no plan, no maps
 
 
+def _program_maps(g):
+    """Every map of g's compiled program: each mix side's and each output's."""
+    program = g._maps
+    return ([f for mix in program.mixes for _, f in mix]
+            + [f for _, f in program.outputs])
+
+
 def _special_coordinates(g):
     """1/2, each (2-s)/2, and every knot of the compiled maps: the points
     where some generator of g sits exactly on its own knot."""
     coords = {F(0), F(1), F(1, 2)}
     coords.update((2 - v.params[0]) / 2 for v in g.vertices if v.kind == "phi")
-    for knots, _ in g._maps:
+    for knots, _ in _program_maps(g):
         coords.update(knots)
     return sorted(coords)
+
+
+def _special_points(rng, g, d):
+    """n points of dimension d, most coordinates drawn from the special ones."""
+    special = _special_coordinates(g)
+    pool = special + [F(rng.randint(0, 64), 64) for _ in range(len(special))]
+    return tuple(SimplexPoint(tuple(sorted(rng.choice(pool) for _ in range(d))))
+                 for _ in range(g.n))
+
+
+def _float_gap(g, points):
+    """The largest gap between the program and the interpreter on the
+    points' floats; every output coordinate must be a float."""
+    floats = tuple(SimplexPoint(tuple(float(x) for x in p.coords)) for p in points)
+    gap = 0.0
+    for p, q in zip(eval_term(g, floats), interpret(g, floats)):
+        assert all(type(x) is float for x in p.coords)
+        gap = max([gap] + [abs(x - y) for x, y in zip(p.coords, q.coords)])
+    return gap
 
 
 def test_compiled_maps_match_the_interpreter_on_seeded_terms():
@@ -284,7 +312,7 @@ def test_compiled_maps_match_the_interpreter_on_seeded_terms():
     kinds = set()
     worst = 0.0
     for k in range(600):
-        g = _one_input_term(rng, rng.randint(4, 40))
+        g = _random_term(rng, 1, rng.randint(4, 40))
         kinds.update((v.kind, v.params) for v in g.vertices)
         d = k % 6
         first = random_point(rng, d)
@@ -313,10 +341,12 @@ def test_compiled_maps_match_the_interpreter_on_seeded_terms():
 def test_compiled_maps_are_continuous_monotone_and_fix_the_endpoints():
     rng = random.Random(708)
     for _ in range(100):
-        g = _one_input_term(rng, rng.randint(4, 40))
+        g = _random_term(rng, 1, rng.randint(4, 40))
         eval_term(g, (random_point(rng, 1),))
-        assert len(g._maps) == g.m
-        for knots, segments in g._maps:
+        assert g._maps.joins == g._maps.mixes == ()
+        assert len(g._maps.outputs) == g.m
+        for base, (knots, segments) in g._maps.outputs:
+            assert base == 0
             assert len(segments) == len(knots) + 1
             assert list(knots) == sorted(set(knots)) and all(0 < t < 1 for t in knots)
             assert all(a >= 0 for a, _ in segments)
@@ -331,7 +361,7 @@ def test_the_maps_are_written_once_and_leave_equality_hashing_and_repr_alone():
     point = parse_point("1/4,1/2,3/4")
     outs = eval_term(g, (point,))
     maps = g._maps
-    assert maps is not None and len(maps) == g.m == 2
+    assert maps is not None and len(maps.outputs) == g.m == 2
     assert eval_term(g, (parse_point("0,1/3,1"),)) and g._maps is maps
     with pytest.raises(AttributeError):
         g._maps = None
@@ -342,11 +372,74 @@ def test_the_maps_are_written_once_and_leave_equality_hashing_and_repr_alone():
     assert eval_term(copy, (point,)) == outs and copy._maps == maps
 
 
-def test_only_one_input_terms_are_compiled():
-    g = parse("mu(1/3) ; delta")
-    pts = (parse_point("1/4"), parse_point("1/2"))
-    assert eval_term(g, pts) == interpret(g, pts)
-    assert g._maps is None
+def test_terms_of_two_and_three_inputs_are_compiled_and_match_the_interpreter():
+    rng = random.Random(709)
+    exact = on_knots = 0
+    kinds = set()
+    mixes = []
+    worst = 0.0
+    for k in range(600):
+        g = _random_term(rng, 2 + k % 2, rng.randint(4, 40))
+        kinds.update((v.kind, v.params) for v in g.vertices)
+        d = k % 6
+        first = tuple(random_point(rng, d) for _ in range(g.n))
+        assert g._maps is None
+        assert eval_term(g, first) == interpret(g, first)
+        program = g._maps
+        assert len(program.outputs) == g.m
+        assert all(0 <= i < j < g.n for i, j in program.joins)
+        mixes.append(len(program.mixes))
+        knots = {t for f, _ in _program_maps(g) for t in f}
+        for _ in range(3):
+            points = _special_points(rng, g, d)
+            on_knots += any(x in knots for p in points for x in p.coords)
+            assert eval_term(g, points) == interpret(g, points)
+            worst = max(worst, _float_gap(g, points))
+            exact += 1
+        assert g._maps is program
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._maps is None
+        assert eval_term(copy, points) == eval_term(g, points) and copy._maps == program
+    assert exact == 1800
+    assert worst <= 1e-12, worst
+    assert on_knots > 600
+    assert sum(m > 0 for m in mixes) > 300 and max(mixes) >= 3
+    assert {("phi", ()), ("id", ()), ("eps", ())} <= {(kind, ()) for kind, _ in kinds}
+    for s in (F(0), F(1)):
+        assert ("mu", (s,)) in kinds and ("phi", (s,)) in kinds
+
+
+# about 1.5 s; hypothesis favours small draws, and about half of the 500 have 10 to 60 vertices
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       vertices=st.integers(0, 60), d=st.integers(0, 5))
+def test_the_program_matches_the_interpreter_at_size(seed, n, vertices, d):
+    rng = random.Random(seed)
+    g = _random_term(rng, n, vertices)
+    points = tuple(random_point(rng, d) for _ in range(n))
+    assert eval_term(g, points) == interpret(g, points)
+    points = _special_points(rng, g, d)
+    assert eval_term(g, points) == interpret(g, points)
+
+
+def _cyclic_two_input_term():
+    # mu(1/2) and delta feed each other; input 2 is capped
+    return GraphTerm(2, 1, (Vertex("mu", (F(1, 2),)), Vertex("delta"), Vertex("eps")),
+                     frozenset({(("in", 0), ("vi", 0, 0)), (("vo", 1, 0), ("vi", 0, 1)),
+                                (("vo", 0, 0), ("vi", 1, 0)), (("vo", 1, 1), ("out", 0)),
+                                (("in", 1), ("vi", 2, 0))}))
+
+
+@pytest.mark.parametrize("evaluate", [eval_term, interpret])
+def test_points_of_unequal_dimension_raise_exactly_where_the_interpreter_does(evaluate):
+    points = (parse_point("1/4"), parse_point("1/4,1/2"))
+    for text in ("mu(1/3)", "mu(1/3) ; eps", "(delta | id) ; (id | mu(0)) ; (eps | eps)"):
+        with pytest.raises(GraphError, match="product needs points of equal dimension"):
+            evaluate(parse(text), points)
+    assert evaluate(parse("eps | eps"), points) == ()
+    assert evaluate(parse("id | id"), points) == points
+    with pytest.raises(GraphError, match="directed cycle"):
+        evaluate(_cyclic_two_input_term(), points)
 
 
 def test_bad_terms_and_calls_raise_the_same_errors():
