@@ -9,6 +9,7 @@ the output format; it defaults to text, and to json for `export`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import chains, complexes, graphs, surfaces, verify
@@ -79,6 +80,12 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def _read(path):
     try:
         with open(path) as fh:
@@ -95,10 +102,12 @@ def _complex_from_file(path):
 def _cochain_from_file(path, complex_):
     """A cochain file whose faces must all be simplices of the complex."""
     cochain = complexes.cochain_from_text(_read(path))
-    for face in cochain:
-        if face not in complex_:
-            raise PropcalcError(f"{path}: face {' '.join(map(str, face))} "
-                                f"is not a simplex of the complex")
+    # a face can only be a simplex of its own dimension
+    lengths = {len(f) for f in cochain}
+    stray = cochain.difference(*(complex_._faces(n - 1) for n in lengths))
+    if stray:
+        raise PropcalcError(f"{path}: face {' '.join(map(str, min(stray)))} "
+                            f"is not a simplex of the complex")
     return cochain
 
 
@@ -151,7 +160,7 @@ def _attach_dash_values(argv):
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_dash_values(argv))
+    args = _parser().parse_args(_attach_dash_values(argv))
     try:
         if args.command == "verify":
             only = _criteria(args.only) if args.only else None

@@ -14,49 +14,42 @@ from .errors import GraphError
 
 
 class SimplicialComplex:
-    """Downward closure of a set of maximal faces."""
+    """Downward closure of a set of maximal faces, built one dimension at a
+    time, the first time that dimension is asked for."""
 
     def __init__(self, maximal_faces):
-        faces = set()
-        for f in maximal_faces:
-            f = tuple(sorted(set(f)))
-            if not f:
-                raise GraphError("empty face")
-            for k in range(1, len(f) + 1):
-                faces.update(combinations(f, k))
-        self._faces = faces
-        self.vertices = tuple(sorted({v for f in faces for v in f}))
-        self._by_dim = {}
-        for f in faces:
-            self._by_dim.setdefault(len(f) - 1, []).append(f)
-        for k in self._by_dim:
-            self._by_dim[k].sort()
+        self._maximal = {tuple(sorted(set(f))) for f in maximal_faces}
+        if () in self._maximal:
+            raise GraphError("empty face")
+        self.dim = max(map(len, self._maximal), default=0) - 1
+        self._face_sets = {}
+        self._sorted = {}
 
-    @property
-    def dim(self):
-        return max(self._by_dim) if self._by_dim else -1
+    def _faces(self, k):
+        """The set of k-faces."""
+        faces = self._face_sets.get(k)
+        if faces is None:
+            faces = self._face_sets[k] = {c for f in self._maximal if len(f) > k >= 0
+                                          for c in combinations(f, k + 1)}
+        return faces
 
     def simplices(self, k):
-        return self._by_dim.get(k, [])
+        faces = self._sorted.get(k)
+        if faces is None:
+            faces = self._sorted[k] = sorted(self._faces(k))
+        return faces
 
     def __contains__(self, face):
-        return tuple(face) in self._faces
+        face = tuple(face)
+        return face in self._faces(len(face) - 1)
 
     def euler_characteristic(self):
-        return sum((-1) ** k * len(fs) for k, fs in self._by_dim.items())
+        return sum((-1) ** k * len(self._faces(k)) for k in range(self.dim + 1))
 
     @classmethod
     def from_text(cls, text):
         """One maximal face per line, vertices as integers, '#' comments."""
-        faces = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                faces.append(tuple(int(tok) for tok in line.split()))
-            except ValueError:
-                raise GraphError(f"vertices must be integers: {line!r}") from None
+        faces = _faces_from_text(text)
         if not faces:
             raise GraphError("no faces in complex description")
         return cls(faces)
@@ -66,18 +59,22 @@ class SimplicialComplex:
         return cls([tuple(range(d + 1))])
 
 
-def cochain_from_text(text) -> frozenset:
-    """One face per line, vertices as integers, '#' comments."""
-    faces = set()
+def _faces_from_text(text):
+    """One face per line as a sorted vertex tuple; blank lines and '#' comments skipped."""
+    faces = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            faces.add(tuple(sorted(int(tok) for tok in line.split())))
-        except ValueError:
-            raise GraphError(f"vertices must be integers: {line!r}") from None
-    return frozenset(faces)
+        if line:
+            try:
+                faces.append(tuple(sorted(map(int, line.split()))))
+            except ValueError:
+                raise GraphError(f"vertices must be integers: {line!r}") from None
+    return faces
+
+
+def cochain_from_text(text) -> frozenset:
+    """One face per line, vertices as integers, '#' comments."""
+    return frozenset(_faces_from_text(text))
 
 
 def cochain_to_text(cochain) -> str:

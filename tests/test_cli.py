@@ -147,6 +147,62 @@ def test_cochain_face_outside_the_complex_exit_1(capsys, tmp_path):
                 "--a", os.path.join(DATA, "rp2_h1.cc"), "--b", str(stray)]) == 1
 
 
+def test_the_smallest_stray_face_is_named(capsys, tmp_path):
+    stray = tmp_path / "stray.cc"
+    stray.write_text("4 9\n1 9\n")
+    assert _sq(str(stray)) == 1
+    err = capsys.readouterr().err
+    assert "face 1 9 is not a simplex" in err and "4 9" not in err
+
+
+# --- the parser is built once per process ------------------------------------
+
+def test_repeated_options_do_not_accumulate_across_calls(capsys):
+    assert run(["eval", "--d", "1", "--term", "mu(1/2)", "--point", "1/4", "--point", "1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "(3/8)"
+    # a second call sees its own one point, not three
+    assert run(["eval", "--d", "1", "--term", "delta", "--point", "1/4"]) == 0
+    assert capsys.readouterr().out.strip() == "(0), (1/2)"
+
+
+def test_defaults_and_usage_errors_leave_the_parser_usable(capsys):
+    from propcalc.verify import DEFAULT_SEED
+    assert run(["verify", "--only", "1"]) == 0
+    assert f"seed={DEFAULT_SEED})" in capsys.readouterr().out
+    assert run(["normalize", "delta"]) == 0
+    assert capsys.readouterr().out.strip() == "surj n=1 m=2 : 1/1 2/1"
+    with pytest.raises(SystemExit) as exc:
+        run(["cup", "--i", "x"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert run(["normalize", "delta"]) == 0
+    assert capsys.readouterr().out.strip() == "surj n=1 m=2 : 1/1 2/1"
+
+
+# --- the faces of a complex are built only where a command needs them --------
+
+def test_one_line_40_vertex_simplex(capsys, tmp_path):
+    complex_ = tmp_path / "simplex.sc"
+    complex_.write_text(" ".join(map(str, range(40))) + "\n")
+    every = tmp_path / "every.cc"
+    every.write_text("".join(f"{v}\n" for v in range(40)))
+    evens = tmp_path / "evens.cc"
+    evens.write_text("".join(f"{v}\n" for v in range(0, 40, 2)))
+    thirds = tmp_path / "thirds.cc"
+    thirds.write_text("".join(f"{v}\n" for v in range(0, 40, 3)))
+
+    t0 = time.perf_counter()
+    assert run(["sq", "--k", "0", "--complex", str(complex_), "--cocycle", str(every)]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().out.split() == [str(v) for v in range(40)]
+
+    t0 = time.perf_counter()
+    assert run(["cup", "--i", "0", "--complex", str(complex_),
+                "--a", str(evens), "--b", str(thirds)]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().out.split() == [str(v) for v in range(0, 40, 6)]
+
+
 @pytest.mark.parametrize("text", ["sigma[]", "sigma[,]", "sigma[1,]",
                                   "(" * 2000 + "id" + ")" * 2000],
                          ids=["empty-list", "comma", "trailing-comma", "deep-nesting"])

@@ -1,10 +1,11 @@
+import os
 import random
 from itertools import combinations
 
 import pytest
 
 from propcalc.chains import cup_i, steenrod_square
-from propcalc.complexes import (SimplicialComplex, circle, coboundary,
+from propcalc.complexes import (RP2_FACES, SimplicialComplex, circle, coboundary,
                                 cochain_from_text, cochain_to_text,
                                 cocycle_basis, cohomology_dim, is_coboundary,
                                 is_cocycle, representative_cocycle, rp2)
@@ -21,6 +22,80 @@ def test_complex_from_text_and_closure():
     assert K.euler_characteristic() == 1
     with pytest.raises(GraphError):
         SimplicialComplex.from_text("# nothing\n")
+
+
+class EagerComplex:
+    """The whole downward closure, built at once: an oracle for SimplicialComplex."""
+
+    def __init__(self, maximal_faces):
+        faces = set()
+        for f in maximal_faces:
+            f = tuple(sorted(set(f)))
+            if not f:
+                raise GraphError("empty face")
+            for k in range(1, len(f) + 1):
+                faces.update(combinations(f, k))
+        self.faces = faces
+        self.by_dim = {}
+        for f in faces:
+            self.by_dim.setdefault(len(f) - 1, []).append(f)
+        for k in self.by_dim:
+            self.by_dim[k].sort()
+        self.dim = max(self.by_dim) if self.by_dim else -1
+        self.euler = sum((-1) ** k * len(fs) for k, fs in self.by_dim.items())
+
+
+def _random_maximal_faces(rng):
+    """Mixed dimensions, plus a repeated vertex, a duplicate and a face inside another."""
+    faces = [tuple(rng.sample(range(9), rng.randint(1, 5))) for _ in range(rng.randint(1, 6))]
+    big = faces[0]
+    faces.append(big)
+    faces.append(big[:rng.randint(1, len(big))])
+    faces.append(big + big[:1])
+    rng.shuffle(faces)
+    return faces
+
+
+def _assert_same_complex(K, oracle, rng):
+    assert K.dim == oracle.dim
+    assert K.euler_characteristic() == oracle.euler
+    for k in range(-1, oracle.dim + 2):
+        assert K.simplices(k) == oracle.by_dim.get(k, [])
+    for face in oracle.faces:
+        assert face in K and list(face) in K
+    assert () not in K
+    # faces of every dimension, most of them not in the complex
+    for n in range(1, oracle.dim + 3):
+        for _ in range(20):
+            face = tuple(sorted(rng.sample(range(10), n)))
+            assert (face in K) == (face in oracle.faces)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_matches_the_eager_oracle(seed):
+    rng = random.Random(seed)
+    faces = _random_maximal_faces(rng)
+    K = SimplicialComplex(faces)
+    # the same complex whatever is asked for first
+    for k in reversed(range(-1, K.dim + 2)):
+        K.simplices(k)
+    _assert_same_complex(K, EagerComplex(faces), rng)
+    _assert_same_complex(SimplicialComplex(faces), EagerComplex(faces), rng)
+    text = "# random\n" + "\n".join(" ".join(map(str, f)) for f in faces)
+    _assert_same_complex(SimplicialComplex.from_text(text), EagerComplex(faces), rng)
+
+
+def test_closure_of_the_projective_plane_file_is_unchanged():
+    path = os.path.join(os.path.dirname(__file__), "data", "rp2.sc")
+    with open(path) as fh:
+        K = SimplicialComplex.from_text(fh.read())
+    _assert_same_complex(K, EagerComplex(RP2_FACES), random.Random(2))
+    assert [len(K.simplices(k)) for k in range(3)] == [6, 15, 10]
+
+
+def test_empty_face_is_rejected():
+    with pytest.raises(GraphError, match="empty face"):
+        SimplicialComplex([(0, 1), ()])
 
 
 def test_cochain_text_round_trip():
