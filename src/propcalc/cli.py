@@ -231,13 +231,13 @@ def _render(args) -> str:
         a = _cochain_from_file(args.a, K)
         b = _cochain_from_file(args.b, K)
         result = chains.cup_i(args.i, a, b, K)
-        return complexes.cochain_to_text(result) if result else "0"
+        return complexes.cochain_to_text(result)
 
     if cmd == "sq":
         K = _complex_from_file(args.complex)
         x = _cochain_from_file(args.cocycle, K)
         result = chains.steenrod_square(args.k, x, K)
-        return complexes.cochain_to_text(result) if result else "0"
+        return complexes.cochain_to_text(result)
 
     if cmd == "surface":
         x = normalize(parse_term(args.term))

@@ -73,11 +73,16 @@ def _faces_from_text(text):
 
 
 def cochain_from_text(text) -> frozenset:
-    """One face per line, vertices as integers, '#' comments."""
+    """One face per line, vertices as integers, '#' comments; a text with
+    no face, such as `cochain_to_text` of the zero cochain, is zero."""
     return frozenset(_faces_from_text(text))
 
 
 def cochain_to_text(cochain) -> str:
+    """One sorted face per line; the zero cochain is the comment line
+    `# zero cochain`, so the text of every cochain reads back as it."""
+    if not cochain:
+        return "# zero cochain"
     return "\n".join(" ".join(str(v) for v in f) for f in sorted(cochain))
 
 

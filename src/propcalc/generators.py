@@ -74,13 +74,18 @@ def apply_attaching(g: GraphTerm, tag: str = S_TILDE) -> GraphTerm:
     mu at 0 -> counit on input 1, strand from input 2; mu at 1 the mirror.
     phi at 0 -> plain strand; phi at 1 -> delta with counit on output 1.
     Boundary graphs contain no parametrized vertex, so one pass in vertex
-    order replaces them all.
+    order replaces them all.  A valid term with no such vertex is returned
+    as it is.
     """
     check_tag(g, tag)
+    plan_of(g)  # raises GraphError on an invalid term
+    boundary = [v for v, vert in enumerate(g.vertices)
+                if vert.kind in ("mu", "phi") and vert.params[0] in (0, 1)]
+    if not boundary:
+        return g
     work = Wiring.from_term(g)
-    for v, vert in enumerate(g.vertices):
-        if vert.kind not in ("mu", "phi") or vert.params[0] not in (0, 1):
-            continue
+    for v in boundary:
+        vert = g.vertices[v]
         s = vert.params[0]
         srcs = [work.del_edge(("vi", v, k))[0] for k in range(vert.arity[0])]
         dst = work.tgt[("vo", v, 0)]

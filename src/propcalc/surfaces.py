@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphError, InternalError
-from .generators import to_edge_weights
-from .surjections import WeightedSurjection, expand_graph
+from .graphs import ARITY
+from .surjections import WeightedSurjection, _expand_work
 
 
 class RibbonGraph:
@@ -145,18 +145,19 @@ def to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     """Ribbon graph of the canonical graph, before collapsing.
 
     Boundary circles are loops at the n+m new vertices, placed first in
-    each rotation; all other rotations extend the slot order.
+    each rotation; all other rotations extend the slot order.  The graph
+    is read off the wiring that `expand_graph` exports, whose edge labels
+    are the weights `to_edge_weights` gives the exported term.
     """
     if x.m < 1:
         raise GraphError("the surface realization needs at least one output")
-    g = expand_graph(x)
-    weights = to_edge_weights(g).weights
+    work = _expand_work(x)
     rg = RibbonGraph()
     for i in range(x.n):
         rg.add_vertex(("in", i), tag=("in", i))
     for j in range(x.m):
         rg.add_vertex(("out", j), tag=("out", j))
-    for v in range(len(g.vertices)):
+    for v in range(work.fresh):
         rg.add_vertex(("v", v))
     # boundary circles first in the rotations
     for i in range(x.n):
@@ -174,19 +175,16 @@ def to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     # graph vertices list their halves in slot order: inputs then outputs,
     # which matches (in, out1, out2) for the coproduct and (in1, in2, out)
     # for the product; edges are inserted in a traversal that realizes it
-    order = {}
-    for v, vert in enumerate(g.vertices):
-        order[("v", v)] = ([("vi", v, k) for k in range(vert.arity[0])]
-                           + [("vo", v, k) for k in range(vert.arity[1])])
     slot_half = {}
-    for src, dst in sorted(g.edges):
-        e = rg.add_edge(node(src), node(dst), weight=weights[(src, dst)],
-                        kind="strand")
+    for src, dst in sorted((s, d) for d, s in work.src.items()):
+        e = rg.add_edge(node(src), node(dst), weight=work.w[dst], kind="strand")
         slot_half[src] = rg.edges[e]["tail"]
         slot_half[dst] = rg.edges[e]["head"]
     # rebuild internal rotations in slot order
-    for v, slots in order.items():
-        rg.rotation[v] = [slot_half[s] for s in slots]
+    for v in range(work.fresh):
+        a, b = ARITY[work.kind[v]]
+        rg.rotation[("v", v)] = ([slot_half[("vi", v, k)] for k in range(a)]
+                                 + [slot_half[("vo", v, k)] for k in range(b)])
     rg.check()
     return rg
 

@@ -372,22 +372,26 @@ class _Work(Wiring):
         return out
 
     def _build_comb(self, side, target, total):
-        """Left comb of products joining `side` strands into `target`."""
-        if sum(w for _, w in side) != total:
-            raise InternalError("comb weights do not match the split")
+        """Left comb of products joining `side` strands into `target`.
+
+        The weights of `side` must sum to `total`; the running sum the comb
+        puts on its edges is checked against it once the comb is built.
+        """
+        running = side[0][1]
         if len(side) == 1:
             self.add_edge(side[0][0], target, total)
-            return
-        mus = [self.new_vertex("mu") for _ in range(len(side) - 1)]
-        self.add_edge(side[0][0], ("vi", mus[0], 0), side[0][1])
-        running = side[0][1]
-        for t, (s, w) in enumerate(side[1:]):
-            self.add_edge(s, ("vi", mus[t], 1), w)
-            running += w
-            if t + 1 < len(mus):
-                self.add_edge(("vo", mus[t], 0), ("vi", mus[t + 1], 0), running)
-            else:
-                self.add_edge(("vo", mus[t], 0), target, running)
+        else:
+            mus = [self.new_vertex("mu") for _ in range(len(side) - 1)]
+            self.add_edge(side[0][0], ("vi", mus[0], 0), running)
+            for t, (s, w) in enumerate(side[1:]):
+                self.add_edge(s, ("vi", mus[t], 1), w)
+                running += w
+                if t + 1 < len(mus):
+                    self.add_edge(("vo", mus[t], 0), ("vi", mus[t + 1], 0), running)
+                else:
+                    self.add_edge(("vo", mus[t], 0), target, running)
+        if running != total:
+            raise InternalError("comb weights do not match the split")
 
     def rewrite_leibniz(self, redex):
         """Exchange the product tree rooted at u with the coproduct v below it.
@@ -572,6 +576,15 @@ def expand_graph(x: WeightedSurjection) -> GraphTerm:
     Left-comb convention on both sides; mu parameters are the second-input
     shares determined by the strand weights.
     """
+    return _expand_work(x).to_graph()
+
+
+def _expand_work(x: WeightedSurjection) -> _Work:
+    """The wiring of `expand_graph(x)`, every edge labelled by its weight.
+
+    Vertices are only added, so their ids are already 0..k-1, the numbering
+    of the exported term.
+    """
     work = _Work(x.n, x.m)
     # coproduct combs produce the strand source endpoints per block
     strand_src = {}  # global position -> source endpoint
@@ -583,7 +596,6 @@ def expand_graph(x: WeightedSurjection) -> GraphTerm:
             work.add_edge(("in", i), ("vi", e, 0), Fraction(0))
             continue
         r = len(blk)
-        total = sum(ws, Fraction(0))
         if r == 1:
             strand_src[pos] = ("in", i)
             strand_w[pos] = ws[0]
@@ -591,10 +603,11 @@ def expand_graph(x: WeightedSurjection) -> GraphTerm:
             continue
         # chain of r-1 deltas; deepest delta splits strands 1 and 2
         deltas = [work.new_vertex("delta") for _ in range(r - 1)]
-        work.add_edge(("in", i), ("vi", deltas[-1], 0), total)
+        prefix = sum(ws, Fraction(0))
+        work.add_edge(("in", i), ("vi", deltas[-1], 0), prefix)
         for t in range(r - 1, 0, -1):
             d = deltas[t - 1]
-            prefix = sum(ws[:t], Fraction(0))
+            prefix -= ws[t]  # now the weight of strands 0..t-1
             if t > 1:
                 work.add_edge(("vo", d, 0), ("vi", deltas[t - 2], 0), prefix)
             else:
@@ -612,7 +625,7 @@ def expand_graph(x: WeightedSurjection) -> GraphTerm:
     for j in range(1, x.m + 1):
         work._build_comb([(strand_src[p], strand_w[p]) for p in by_output[j]],
                          ("out", j - 1), Fraction(1))
-    return work.to_graph()
+    return work
 
 
 # ---------------------------------------------------------------------------

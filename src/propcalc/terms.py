@@ -15,10 +15,12 @@ one reads them (pre- versus post-composition).  "h" is the counit homotopy.
 
 Atoms parse to light descriptors (a permutation image, a `Vertex`, or the
 graph term of a parenthesized term), and each layer is built as one graph
-term in one left-to-right pass.  The layers of a term are checked for
-arity as they are read and then joined pairwise by `vertical_compose`,
-which is associative on this representation: the vertex order and the
-edge set are those of the left-to-right fold.
+term in one left-to-right pass.  A through-strand edge (("in", i),
+("out", j)) is built once per parse, in a table the parser owns, and
+shared by every layer that wires input i to output j.  The layers of a
+term are checked for arity as they are read and then joined pairwise by
+`vertical_compose`, which is associative on this representation: the
+vertex order and the edge set are those of the left-to-right fold.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ _FIXED_ATOMS = {"id": (1,), "swap": (2, 1), "eps": Vertex("eps"), "delta": Verte
 _PARAM_KINDS = {"mu": "mu", "h": "phi"}
 
 
+class _Strands(dict):
+    """The through-strand edges (("in", i), ("out", j)) of one parse, keyed
+    by (i, j); each is built the first time a layer asks for it and then
+    shared by every layer that wires i to j."""
+
+    def __missing__(self, key):
+        edge = self[key] = (("in", key[0]), ("out", key[1]))
+        return edge
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -48,6 +60,7 @@ class _Parser:
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         self.tokens.append(None)  # end of input
         self.i = 0
+        self.strands = _Strands()
 
     def position(self, k):
         """Where the k-th token starts in the text."""
@@ -126,9 +139,13 @@ class _Parser:
         vertices = []
         edges = []
         n = m = 0
+        strands = self.strands
         for a in atoms:
             if isinstance(a, tuple):
-                edges += [(("in", n + i), ("out", m + j - 1)) for i, j in enumerate(a)]
+                if len(a) == 1:
+                    edges.append(strands[n, m])
+                else:
+                    edges += [strands[n + i, m + j - 1] for i, j in enumerate(a)]
                 n += len(a)
                 m += len(a)
             elif isinstance(a, Vertex):

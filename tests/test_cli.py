@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -312,3 +314,43 @@ def test_the_format_environment_variable_changes_nothing(capsys, monkeypatch):
     monkeypatch.setenv("PROPCALC_FORMAT", "xml")
     assert run(["normalize", "delta"]) == 0
     assert capsys.readouterr().out.strip() == "surj n=1 m=2 : 1/1 2/1"
+
+
+# --- a zero result reads back as the zero cochain ---------------------------
+
+def test_a_zero_cup_result_reads_back_as_the_zero_cochain(capsys, tmp_path):
+    complex_ = tmp_path / "path.sc"
+    complex_.write_text("0 1\n1 2\n")
+    (tmp_path / "a.cc").write_text("0\n")
+    (tmp_path / "b.cc").write_text("2\n")
+    assert run(["cup", "--i", "0", "--complex", str(complex_),
+                "--a", str(tmp_path / "a.cc"), "--b", str(tmp_path / "b.cc")]) == 0
+    zero = capsys.readouterr().out
+    assert zero.strip() == "# zero cochain"
+    (tmp_path / "zero.cc").write_text(zero)
+    assert run(["sq", "--k", "0", "--complex", str(complex_),
+                "--cocycle", str(tmp_path / "zero.cc")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "# zero cochain" and captured.err == ""
+
+
+# --- python -m propcalc ------------------------------------------------------
+
+def _module_run(*argv):
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "propcalc", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_propcalc_runs_the_command_line():
+    proc = _module_run("normalize", "delta")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "surj n=1 m=2 : 1/1 2/1"
+
+
+def test_python_m_propcalc_reports_an_error_without_a_traceback():
+    proc = _module_run("normalize", "(((")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

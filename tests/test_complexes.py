@@ -254,3 +254,8 @@ def test_is_coboundary_matches_brute_force_enumeration(make):
         checked += len(cochains)
     assert not is_coboundary(K, frozenset({K.simplices(0)[0]}))
     assert checked >= 16
+
+
+def test_the_zero_cochain_has_a_text_that_reads_back_as_zero():
+    assert cochain_to_text(frozenset()) == "# zero cochain"
+    assert cochain_from_text(cochain_to_text(frozenset())) == frozenset()

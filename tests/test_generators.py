@@ -5,11 +5,11 @@ import pytest
 
 from propcalc.errors import GraphError, WeightingError
 from propcalc.generators import (EdgeWeighting, S, S_TILDE, apply_attaching,
-                                 apply_relations_S, corolla, counit_redexes,
+                                 apply_relations_S, check_tag, corolla, counit_redexes,
                                  from_edge_weights, rewrite_counit, stabilize_add,
                                  stabilize_remove, to_edge_weights)
-from propcalc.graphs import (GraphTerm, Vertex, Wiring, iso_equal, sources_by_target, unit,
-                             vertical_compose)
+from propcalc.graphs import (GraphTerm, Vertex, Wiring, horizontal_compose, iso_equal,
+                             sources_by_target, unit, vertical_compose)
 from propcalc.surjections import eliminate_counits, normalize, random_sterm
 from propcalc.terms import parse
 
@@ -272,3 +272,96 @@ def test_counit_rewrites_carry_the_edge_labels():
     rewrite_counit(work, 1)
     assert work.kind == {} and work.src == {("out", 0): ("in", 0)}
     assert work.w == {("out", 0): "kept"}
+
+
+# --- oracle: the attaching pass that rebuilds every term through a Wiring
+
+def _old_apply_attaching(g, tag=S_TILDE):
+    check_tag(g, tag)
+    work = Wiring.from_term(g)
+    for v, vert in enumerate(g.vertices):
+        if vert.kind not in ("mu", "phi") or vert.params[0] not in (0, 1):
+            continue
+        s = vert.params[0]
+        srcs = [work.del_edge(("vi", v, k))[0] for k in range(vert.arity[0])]
+        dst = work.tgt[("vo", v, 0)]
+        work.del_edge(dst)
+        work.del_vertex(v)
+        if vert.kind == "mu":
+            killed, kept = srcs if s == 0 else reversed(srcs)
+            work.add_edge(killed, ("vi", work.new_vertex("eps"), 0))
+            work.add_edge(kept, dst)
+        elif s == 0:
+            work.add_edge(srcs[0], dst)
+        else:
+            d = work.new_vertex("delta")
+            e = work.new_vertex("eps")
+            work.add_edge(srcs[0], ("vi", d, 0))
+            work.add_edge(("vo", d, 0), ("vi", e, 0))
+            work.add_edge(("vo", d, 1), dst)
+    return work.to_term()
+
+
+def _attaching_outcome(fn, g, tag):
+    try:
+        return fn(g, tag)
+    except GraphError as exc:
+        return GraphError, str(exc)
+
+
+def _attaching_terms(rng, count):
+    """Seeded terms whose mu and phi vertices sit at 0, at 1 or inside."""
+    params = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)]
+    for _ in range(count):
+        g = random_sterm(rng, max_vertices=rng.choice([4, 12]))
+        verts = tuple(Vertex("mu", (rng.choice(params),)) if vert.kind == "mu" else vert
+                      for vert in g.vertices)
+        g = GraphTerm(g.n, g.m, verts, g.edges)
+        for _ in range(rng.choice([0, 0, 1, 3]) if g.m else 0):
+            a = rng.randrange(g.m)
+            g = vertical_compose(g, horizontal_compose(
+                [unit(a), corolla("phi", (rng.choice(params),)), unit(g.m - a - 1)]))
+        yield g
+
+
+def test_attaching_matches_the_rebuilding_oracle_and_returns_a_term_it_keeps():
+    rng = random.Random(25)
+    kept = rewritten = 0
+    for g in _attaching_terms(rng, 400):
+        boundary = any(vert.kind in ("mu", "phi") and vert.params[0] in (0, 1)
+                       for vert in g.vertices)
+        for tag in (S, S_TILDE):
+            new = _attaching_outcome(apply_attaching, g, tag)
+            assert new == _attaching_outcome(_old_apply_attaching, g, tag)
+            if isinstance(new, GraphTerm):
+                assert (new is g) == (not boundary)
+                kept += new is g
+                rewritten += new is not g
+    assert kept > 350 and rewritten > 200
+
+
+@pytest.mark.parametrize("text", ["mu(0)", "mu(1)", "h(0)", "h(1)",
+                                  "delta ; ((delta ; mu(1) ; h(1)) | id) ; (h(0) | eps)",
+                                  "delta ; (h(1/2) | h(1)) ; mu(0)"])
+def test_attaching_boundary_cells_rewrite_as_before(text):
+    g = parse(text)
+    new = apply_attaching(g)
+    assert new is not g and new == _old_apply_attaching(g)
+    assert all(vert.params[0] not in (0, 1) for vert in new.vertices
+               if vert.kind in ("mu", "phi"))
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(0)])
+def test_attaching_refuses_a_term_with_an_unwired_slot(s):
+    g = GraphTerm(2, 1, (Vertex("mu", (s,)),),
+                  frozenset({(("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("out", 0))}))
+    with pytest.raises(GraphError, match="unwired"):
+        apply_attaching(g)
+    assert (_attaching_outcome(apply_attaching, g, S)
+            == _attaching_outcome(_old_apply_attaching, g, S))
+    # the tag is checked before the wiring
+    phi = GraphTerm(1, 1, (Vertex("phi", (s,)),), frozenset({(("in", 0), ("vi", 0, 0))}))
+    with pytest.raises(GraphError, match="phi generator is not part"):
+        apply_attaching(phi, S)
+    with pytest.raises(GraphError, match="unwired"):
+        apply_attaching(phi)

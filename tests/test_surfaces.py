@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from propcalc.errors import GraphError, InternalError
-from propcalc.surjections import (SurjType, canonicalize_ws,
-                                  counit_class, enumerate_basis, normalize,
+from propcalc.generators import to_edge_weights
+from propcalc.graphs import GraphTerm
+from propcalc.surjections import (SurjType, WeightedSurjection, _Work, canonicalize_ws,
+                                  counit_class, enumerate_basis, expand_graph, normalize,
                                   random_stype, random_weights, random_ws,
                                   uniform_weights)
 from propcalc.surfaces import (RibbonGraph, arc_edges_in_position_order,
@@ -319,3 +321,166 @@ def test_half_edge_map_follows_edits():
     assert rg.edge_of_half(gone) == e
     with pytest.raises(InternalError):
         rg2.edge_of_half(gone)
+
+
+# --- oracle: the ribbon of the exported term, and the expansion that re-sums
+# every prefix of a block
+
+
+def _old_build_comb(work, side, target, total):
+    if sum(w for _, w in side) != total:
+        raise InternalError("comb weights do not match the split")
+    if len(side) == 1:
+        work.add_edge(side[0][0], target, total)
+        return
+    mus = [work.new_vertex("mu") for _ in range(len(side) - 1)]
+    work.add_edge(side[0][0], ("vi", mus[0], 0), side[0][1])
+    running = side[0][1]
+    for t, (s, w) in enumerate(side[1:]):
+        work.add_edge(s, ("vi", mus[t], 1), w)
+        running += w
+        if t + 1 < len(mus):
+            work.add_edge(("vo", mus[t], 0), ("vi", mus[t + 1], 0), running)
+        else:
+            work.add_edge(("vo", mus[t], 0), target, running)
+
+
+def _old_expand_graph(x: WeightedSurjection) -> GraphTerm:
+    work = _Work(x.n, x.m)
+    strand_src = {}
+    strand_w = {}
+    pos = 0
+    for i, (blk, ws) in enumerate(zip(x.blocks, x.weights)):
+        if not blk:
+            e = work.new_vertex("eps")
+            work.add_edge(("in", i), ("vi", e, 0), F(0))
+            continue
+        r = len(blk)
+        total = sum(ws, F(0))
+        if r == 1:
+            strand_src[pos] = ("in", i)
+            strand_w[pos] = ws[0]
+            pos += 1
+            continue
+        deltas = [work.new_vertex("delta") for _ in range(r - 1)]
+        work.add_edge(("in", i), ("vi", deltas[-1], 0), total)
+        for t in range(r - 1, 0, -1):
+            d = deltas[t - 1]
+            prefix = sum(ws[:t], F(0))
+            if t > 1:
+                work.add_edge(("vo", d, 0), ("vi", deltas[t - 2], 0), prefix)
+            else:
+                strand_src[pos + 0] = ("vo", d, 0)
+                strand_w[pos + 0] = ws[0]
+            strand_src[pos + t] = ("vo", d, 1)
+            strand_w[pos + t] = ws[t]
+        pos += r
+    flat = [f for blk in x.blocks for f in blk]
+    by_output = {}
+    for p, f in enumerate(flat):
+        by_output.setdefault(f, []).append(p)
+    for j in range(1, x.m + 1):
+        _old_build_comb(work, [(strand_src[p], strand_w[p]) for p in by_output[j]],
+                        ("out", j - 1), F(1))
+    return work.to_graph()
+
+
+def _old_to_ribbon(x: WeightedSurjection) -> RibbonGraph:
+    if x.m < 1:
+        raise GraphError("the surface realization needs at least one output")
+    g = expand_graph(x)
+    weights = to_edge_weights(g).weights
+    rg = RibbonGraph()
+    for i in range(x.n):
+        rg.add_vertex(("in", i), tag=("in", i))
+    for j in range(x.m):
+        rg.add_vertex(("out", j), tag=("out", j))
+    for v in range(len(g.vertices)):
+        rg.add_vertex(("v", v))
+    for i in range(x.n):
+        rg.add_edge(("in", i), ("in", i), kind="circle")
+    for j in range(x.m):
+        rg.add_edge(("out", j), ("out", j), kind="circle")
+
+    def node(ep):
+        if ep[0] == "in":
+            return ("in", ep[1])
+        if ep[0] == "out":
+            return ("out", ep[1])
+        return ("v", ep[1])
+
+    order = {}
+    for v, vert in enumerate(g.vertices):
+        order[("v", v)] = ([("vi", v, k) for k in range(vert.arity[0])]
+                           + [("vo", v, k) for k in range(vert.arity[1])])
+    slot_half = {}
+    for src, dst in sorted(g.edges):
+        e = rg.add_edge(node(src), node(dst), weight=weights[(src, dst)],
+                        kind="strand")
+        slot_half[src] = rg.edges[e]["tail"]
+        slot_half[dst] = rg.edges[e]["head"]
+    for v, slots in order.items():
+        rg.rotation[v] = [slot_half[s] for s in slots]
+    rg.check()
+    return rg
+
+
+def _ribbon_data(rg):
+    """Everything a ribbon graph holds, in insertion order, weights with their type."""
+    edges = [(e, d["tail"], d["head"], d["weight"], type(d["weight"]), d["kind"])
+             for e, d in rg.edges.items()]
+    return (list(rg.rotation.items()), list(rg.tags.items()), edges,
+            list(rg.alpha.items()), list(rg.at.items()), list(rg.half_edge.items()),
+            rg._next_half, rg._next_edge)
+
+
+def _expansion_cases():
+    """Every basis type with n, m <= 3 and degree <= 3 under seeded interior
+    weights; each type also with an eps block inserted at a random place,
+    and, where some output has two strands, with one of them weighted 0."""
+    rng = random.Random(61)
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for degree in range(4):
+                for t in enumerate_basis(n, m, degree):
+                    x = random_weights(rng, t)
+                    yield x
+                    k = rng.randint(0, n)
+                    yield WeightedSurjection(n + 1, m, t.blocks[:k] + ((),) + t.blocks[k:],
+                                             x.weights[:k] + ((),) + x.weights[k:])
+                    counts = t.output_counts()
+                    shared = [p for p, f in enumerate(f for blk in t.blocks for f in blk)
+                              if counts[f - 1] > 1]
+                    if shared:
+                        yield random_weights(rng, t, boundary_strand=rng.choice(shared))
+
+
+def test_expansion_cases_reach_every_kind_of_form():
+    cases = list(_expansion_cases())
+    assert len(cases) > 10000
+    assert sum(any(not blk for blk in x.blocks) for x in cases) > 3500
+    assert sum(any(w == 0 for ws in x.weights for w in ws) for x in cases) > 3500
+    assert max(x.r for x in cases) == 6
+
+
+def test_to_ribbon_matches_the_ribbon_of_the_exported_term():
+    for x in _expansion_cases():
+        assert _ribbon_data(to_ribbon(x)) == _ribbon_data(_old_to_ribbon(x)), x
+    with pytest.raises(GraphError, match="at least one output"):
+        to_ribbon(counit_class(2))
+
+
+def test_expand_graph_matches_the_prefix_summing_oracle():
+    for x in _expansion_cases():
+        g = expand_graph(x)
+        assert g == _old_expand_graph(x), x
+        assert all(type(p) is F for vert in g.vertices for p in vert.params)
+
+
+def test_comb_with_weights_off_the_split_raises():
+    work = _Work(2, 1)
+    side = [(("in", 0), F(1, 3)), (("in", 1), F(1, 2))]
+    with pytest.raises(InternalError, match="comb weights do not match the split"):
+        work._build_comb(side, ("out", 0), F(1))
+    with pytest.raises(InternalError, match="comb weights do not match the split"):
+        _Work(1, 1)._build_comb(side[:1], ("out", 0), F(1))

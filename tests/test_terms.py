@@ -356,3 +356,49 @@ def test_mismatch_message_names_the_term_above():
     with pytest.raises(CompositionError,
                        match=re.escape("cannot compose (1,3) above (2,1)")):
         parse("delta ; (id | delta) ; mu(1/2)")
+
+
+def _top_level_layers(text):
+    depth = 0
+    layers = 1
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        layers += ch == ";" and depth == 0
+    return layers
+
+
+def _long_term(rng, layers):
+    """`_random_term` pieces chained on matching widths until the text has at
+    least `layers` top-level layers; a piece that would end on no strands
+    or on more than eight is drawn again."""
+    width = rng.randint(1, 4)
+    pieces = []
+    count = 0
+    while count < layers:
+        piece, out = _random_term(rng, width, depth=1)
+        if not 1 <= out <= 8:
+            continue
+        pieces.append(piece)
+        count += _top_level_layers(piece)
+        width = out
+    return rng.choice([" ; ", ";", "\n; "]).join(pieces)
+
+
+def test_parse_matches_the_oracle_on_long_terms():
+    """Terms of 100-300 layers, so the pairwise joins go several levels deep;
+    one in four is also mutated to fail somewhere along the way."""
+    rng = random.Random(43)
+    parsed = nested = 0
+    layer_counts = []
+    for k in range(80):
+        text = _long_term(rng, rng.randint(100, 294))
+        layer_counts.append(_top_level_layers(text))
+        nested += text.count("(") >= 20
+        if k % 4 == 3:
+            tokens = _OLD_TOKEN.findall(text)
+            tokens[rng.randrange(len(tokens))] = rng.choice(["id", "eps", "delta", ";", ")"])
+            text = " ".join(tokens)
+        parsed += _assert_same_as_oracle(text)
+    assert parsed >= 60 and nested >= 60
+    assert min(layer_counts) >= 100 and max(layer_counts) <= 300
+    assert max(layer_counts) >= 250
