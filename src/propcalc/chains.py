@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
+from .complexes import cochain_degree, is_cocycle
 from .errors import CompositionError, GraphError, InternalError
 from .graphs import GraphTerm, Permutation, plan_of
 from .surjections import (SurjType, _strands_by_wire, expand_graph, normalize,
@@ -400,8 +401,8 @@ def cup_i(i: int, a: frozenset, b: frozenset, complex_) -> frozenset:
         raise GraphError("cup index must be nonnegative")
     if not a or not b:
         return frozenset()
-    pa = _cochain_dim(a)
-    pb = _cochain_dim(b)
+    pa = cochain_degree(a)
+    pb = cochain_degree(b)
     deg = pa + pb - i
     if deg < 0:
         return frozenset()
@@ -429,21 +430,13 @@ def _picker(positions):
     return itemgetter(*positions)
 
 
-def _cochain_dim(a):
-    dims = {len(f) - 1 for f in a}
-    if len(dims) != 1:
-        raise GraphError("cochain must be homogeneous")
-    return dims.pop()
-
-
 def steenrod_square(k: int, x: frozenset, complex_) -> frozenset:
     """Sq^k of a mod-2 cocycle: x cup_(|x|-k) x; zero above the degree."""
-    from .complexes import is_cocycle
     if not is_cocycle(complex_, x):
         raise GraphError("steenrod_square expects a cocycle")
     if not x or k < 0:
         return frozenset()
-    q = _cochain_dim(x)
+    q = cochain_degree(x)
     if k > q:
         return frozenset()
     y = cup_i(q - k, x, x, complex_)

@@ -3,7 +3,8 @@
 Subcommands: parse, normalize, compose, eval, act, cup, sq, surface,
 verify, export.  Exit code 1 flags a parse or validation problem, 2 an
 internal invariant failure or a failed verification.  `--format` selects
-the output format; it defaults to text, and to json for `export`.
+one of the output formats a subcommand renders; it defaults to text, and
+to json for `export`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from .surjections import WeightedSurjection, compose_weighted, normalize
 from .terms import parse as parse_term
 
 
-def _add_format(p, default="text"):
-    p.add_argument("--format", choices=["text", "json", "dot", "svg"], default=default)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="propcalc",
                                  description="calculator for finitely presented "
@@ -31,16 +28,16 @@ def build_parser():
 
     p = sub.add_parser("parse", help="parse a term, validate, print it")
     p.add_argument("term")
-    _add_format(p)
+    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
 
     p = sub.add_parser("normalize", help="canonical weighted-surjection form")
     p.add_argument("term")
-    _add_format(p)
+    p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("compose", help="compose two normal forms vertically")
     p.add_argument("top")
     p.add_argument("bottom")
-    _add_format(p)
+    p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("eval", help="evaluate a term on simplex points")
     p.add_argument("--term", required=True)
@@ -66,7 +63,7 @@ def build_parser():
 
     p = sub.add_parser("surface", help="arc surface of a term's normal form")
     p.add_argument("term")
-    _add_format(p)
+    p.add_argument("--format", choices=["text", "json", "dot", "svg"], default="text")
 
     p = sub.add_parser("verify", help="run the acceptance suites")
     p.add_argument("--only", default=None,
@@ -76,7 +73,7 @@ def build_parser():
 
     p = sub.add_parser("export", help="export a term (json or dot)")
     p.add_argument("term")
-    _add_format(p, default="json")
+    p.add_argument("--format", choices=["json", "dot"], default="json")
     return ap
 
 

@@ -60,13 +60,14 @@ class SimplicialComplex:
 
 
 def _faces_from_text(text):
-    """One face per line as a sorted vertex tuple; blank lines and '#' comments skipped."""
+    """One face per line as a vertex tuple in the order written; blank lines
+    and '#' comments skipped."""
     faces = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             try:
-                faces.append(tuple(sorted(map(int, line.split()))))
+                faces.append(tuple(map(int, line.split())))
             except ValueError:
                 raise GraphError(f"vertices must be integers: {line!r}") from None
     return faces
@@ -75,7 +76,7 @@ def _faces_from_text(text):
 def cochain_from_text(text) -> frozenset:
     """One face per line, vertices as integers, '#' comments; a text with
     no face, such as `cochain_to_text` of the zero cochain, is zero."""
-    return frozenset(_faces_from_text(text))
+    return frozenset(tuple(sorted(f)) for f in _faces_from_text(text))
 
 
 def cochain_to_text(cochain) -> str:
@@ -86,14 +87,19 @@ def cochain_to_text(cochain) -> str:
     return "\n".join(" ".join(str(v) for v in f) for f in sorted(cochain))
 
 
+def cochain_degree(cochain) -> int:
+    """The dimension shared by the faces of a nonzero cochain."""
+    dims = {len(f) - 1 for f in cochain}
+    if len(dims) != 1:
+        raise GraphError("cochain must be homogeneous")
+    return dims.pop()
+
+
 def coboundary(complex_: SimplicialComplex, cochain: frozenset) -> frozenset:
     """Mod-2 coboundary: count odd incidences with codimension-one faces."""
     if not cochain:
         return frozenset()
-    q = {len(f) - 1 for f in cochain}
-    if len(q) != 1:
-        raise GraphError("cochain must be homogeneous")
-    q = q.pop()
+    q = cochain_degree(cochain)
     out = set()
     for sigma in complex_.simplices(q + 1):
         parity = sum(1 for j in range(len(sigma))
@@ -174,7 +180,7 @@ def is_coboundary(complex_, cochain) -> bool:
     """
     if not cochain:
         return True
-    q = {len(f) - 1 for f in cochain}.pop()
+    q = cochain_degree(cochain)
     if q == 0:
         return False
     rows, _ = _coboundary_rows(complex_, q - 1)

@@ -189,14 +189,13 @@ class EdgeWeighting:
     """Nonnegative exact weights on the edges of a graph term.
 
     Conditions: edges into a counit weigh 0, edges into external outputs
-    weigh 1, and at every vertex total inflow equals total outflow.  The
-    output condition can be relaxed when weighting a subgraph in context.
+    weigh 1, and at every vertex total inflow equals total outflow.
     """
 
     graph: GraphTerm
     weights: dict = field(compare=False)
 
-    def check(self, strict_outputs: bool = True):
+    def check(self):
         g = self.graph
         plan = plan_of(g)
         problems = []
@@ -209,7 +208,7 @@ class EdgeWeighting:
                 problems.append(f"edge {src}->{dst} has negative weight {w}")
             if dst[0] == "vi" and g.vertices[dst[1]].kind == "eps" and w != 0:
                 problems.append(f"counit edge {src}->{dst} has weight {w} != 0")
-            if strict_outputs and dst[0] == "out" and w != 1:
+            if dst[0] == "out" and w != 1:
                 problems.append(f"output edge {src}->{dst} has weight {w} != 1")
         if problems:
             return problems
@@ -223,8 +222,8 @@ class EdgeWeighting:
                 problems.append(f"vertex {v} ({vert.kind}): inflow {inflow} != outflow {outflow}")
         return problems
 
-    def require(self, strict_outputs: bool = True):
-        problems = self.check(strict_outputs)
+    def require(self):
+        problems = self.check()
         if problems:
             raise WeightingError("; ".join(problems))
         return self
@@ -270,7 +269,7 @@ def from_edge_weights(g: GraphTerm, weighting: EdgeWeighting):
     parameter; it gets s = 0 and a flag, which is harmless because the
     relations identify all such parameters anyway.
     """
-    weighting.require(strict_outputs=True)
+    weighting.require()
     plan = plan_of(g)
     new_vertices = []
     flagged = set()

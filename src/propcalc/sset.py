@@ -193,12 +193,9 @@ def canonicalize(sset: SimplicialSet, rp: RealizationPoint) -> RealizationPoint:
                         i = c
                         break
         if i is not None:
-            if i == 0:
-                point = SimplexPoint(xs[1:])
-            elif i == d:
-                point = SimplexPoint(xs[:-1])
-            else:
-                point = SimplexPoint(xs[:i] + xs[i + 1:])
+            # the pull-back drops x_1 = 0 (i = 0), x_d = 1 (i = d) or one of the
+            # equal x_i = x_(i+1): in every case the codegeneracy at max(i, 1)
+            point = codegeneracy(point, max(i, 1))
             cell = sset.face(cell, d - i)
             continue
         if cell.is_degenerate:

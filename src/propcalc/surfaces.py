@@ -14,25 +14,27 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphError, InternalError
 from .graphs import ARITY
-from .surjections import WeightedSurjection, _expand_work
+from .surjections import WeightedSurjection, _canonical_parts, _expand_work
 
 
 class RibbonGraph:
-    """Half-edge fatgraph with directed weighted edges and boundary tags."""
+    """Half-edge fatgraph with directed weighted edges and boundary tags.
+
+    Edge e owns the halves 2e (its tail) and 2e + 1 (its head), so the
+    edge of half h is h >> 1 and its opposite half is h ^ 1.
+    """
 
     def __init__(self):
         self.rotation = {}   # vertex -> list of half ids, cyclic
-        self.alpha = {}      # half -> opposite half
-        self.at = {}         # half -> vertex
+        self.at = {}         # half of a present edge -> vertex
         self.edges = {}      # edge id -> dict(tail, head, weight, kind)
-        self.half_edge = {}  # half -> edge id
         self.tags = {}       # vertex -> ("in", i) | ("out", j) | None
-        self._next_half = 0
         self._next_edge = 0
 
     def add_vertex(self, name, tag=None):
@@ -42,33 +44,27 @@ class RibbonGraph:
 
     def add_edge(self, u, v, weight=Fraction(0), kind="arc"):
         """Directed edge u -> v; halves are appended to the rotations."""
-        h1, h2 = self._next_half, self._next_half + 1
-        self._next_half += 2
         e = self._next_edge
         self._next_edge += 1
-        self.alpha[h1] = h2
-        self.alpha[h2] = h1
+        h1, h2 = 2 * e, 2 * e + 1
         self.at[h1] = u
         self.at[h2] = v
         self.rotation[u].append(h1)
         self.rotation[v].append(h2)
         self.edges[e] = {"tail": h1, "head": h2, "weight": weight, "kind": kind}
-        self.half_edge[h1] = self.half_edge[h2] = e
         return e
 
     def remove_edge(self, e):
         """Drop edge e and its halves from the edge maps; return its data.
         The halves stay in the rotations."""
         data = self.edges.pop(e)
-        for h in (data["tail"], data["head"]):
-            del self.alpha[h], self.at[h], self.half_edge[h]
+        del self.at[data["tail"]], self.at[data["head"]]
         return data
 
     def edge_of_half(self, h):
-        try:
-            return self.half_edge[h]
-        except KeyError:
-            raise InternalError(f"orphan half {h}") from None
+        if h not in self.at:
+            raise InternalError(f"orphan half {h}")
+        return h >> 1
 
     def sigma(self, h):
         rot = self.rotation[self.at[h]]
@@ -77,12 +73,9 @@ class RibbonGraph:
     def copy(self):
         out = RibbonGraph()
         out.rotation = {v: list(r) for v, r in self.rotation.items()}
-        out.alpha = dict(self.alpha)
         out.at = dict(self.at)
         out.edges = {e: dict(d) for e, d in self.edges.items()}
-        out.half_edge = dict(self.half_edge)
         out.tags = dict(self.tags)
-        out._next_half = self._next_half
         out._next_edge = self._next_edge
         return out
 
@@ -91,20 +84,17 @@ class RibbonGraph:
             for h in rot:
                 if self.at[h] != v:
                     raise InternalError("rotation and at disagree")
-        for h, h2 in self.alpha.items():
-            if self.alpha[h2] != h:
-                raise InternalError("alpha is not an involution")
 
 
 def ribbon_loops(rg: RibbonGraph):
-    """Orbits of h -> sigma(alpha(h)); each directed edge side lies in one.
+    """Orbits of h -> sigma(h ^ 1); each directed edge side lies in one.
 
     This is the footnote's traversal: arriving at a vertex, leave along
     the edge that follows the arrival in its cyclic order.
     """
     seen = set()
     loops = []
-    for h0 in sorted(rg.alpha):
+    for h0 in sorted(rg.at):
         if h0 in seen:
             continue
         loop = []
@@ -112,7 +102,7 @@ def ribbon_loops(rg: RibbonGraph):
         while True:
             loop.append(h)
             seen.add(h)
-            h = rg.sigma(rg.alpha[h])
+            h = rg.sigma(h ^ 1)
             if h == h0:
                 break
         loops.append(loop)
@@ -120,6 +110,7 @@ def ribbon_loops(rg: RibbonGraph):
 
 
 def connected_components(rg: RibbonGraph):
+    """Each vertex's component, named by one of its vertices."""
     parent = {v: v for v in rg.rotation}
 
     def find(v):
@@ -132,10 +123,7 @@ def connected_components(rg: RibbonGraph):
         a, b = find(rg.at[data["tail"]]), find(rg.at[data["head"]])
         if a != b:
             parent[a] = b
-    groups = {}
-    for v in rg.rotation:
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())
+    return {v: find(v) for v in rg.rotation}
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +256,7 @@ def collapse_edges(rg: RibbonGraph) -> RibbonGraph:
         if not _collapsible(rg, rg.edges[e], indeg, outdeg):
             continue
         for h in _contract(rg, e):
-            e2 = rg.half_edge[h]
+            e2 = h >> 1
             if _collapsible(rg, rg.edges[e2], indeg, outdeg):
                 heapq.heappush(heap, e2)
     return rg
@@ -316,44 +304,37 @@ def arc_edges_in_position_order(rg: RibbonGraph):
     return out
 
 
-def _loops_per_component(rg, loops, components):
-    comp_of_vertex = {}
-    for idx, comp in enumerate(components):
-        for v in comp:
-            comp_of_vertex[v] = idx
-    counts = [0] * len(components)
-    for loop in loops:
-        counts[comp_of_vertex[rg.at[loop[0]]]] += 1
-    return counts
-
-
-def summarize_ribbon(rg: RibbonGraph, boundary: int) -> SurfaceSummary:
-    loops = ribbon_loops(rg)
-    components = connected_components(rg)
-    V = len(rg.rotation)
-    E = len(rg.edges)
-    F = len(loops)
-    genus = 0
-    loop_counts = _loops_per_component(rg, loops, components)
-    for idx, comp in enumerate(components):
-        v_c = len(comp)
-        e_c = sum(1 for d in rg.edges.values() if rg.at[d["tail"]] in comp)
-        chi_c = v_c - e_c + loop_counts[idx]
-        if chi_c % 2 or chi_c > 2:
-            raise InternalError(f"closed component with chi = {chi_c}")
-        genus += (2 - chi_c) // 2
-    arcs = []
+def _arcs(rg: RibbonGraph):
+    """(input, output, weight) of each arc of a collapsed graph, ports
+    counted from 1, in canonical strand position order."""
     for e in arc_edges_in_position_order(rg):
         data = rg.edges[e]
         tin = rg.tags[rg.at[data["tail"]]]
         tout = rg.tags[rg.at[data["head"]]]
         if tin is None or tout is None or tin[0] != "in" or tout[0] != "out":
             raise InternalError("strand not between boundary circles")
-        arcs.append((tin[1] + 1, tout[1] + 1, data["weight"]))
+        yield tin[1] + 1, tout[1] + 1, data["weight"]
+
+
+def summarize_ribbon(rg: RibbonGraph, boundary: int) -> SurfaceSummary:
+    loops = ribbon_loops(rg)
+    component = connected_components(rg)
+    # V - E + F of each component: edges go by their tail, loops by their first half
+    chi = Counter(component.values())
+    for data in rg.edges.values():
+        chi[component[rg.at[data["tail"]]]] -= 1
+    for loop in loops:
+        chi[component[rg.at[loop[0]]]] += 1
+    genus = 0
+    for chi_c in chi.values():
+        if chi_c % 2 or chi_c > 2:
+            raise InternalError(f"closed component with chi = {chi_c}")
+        genus += (2 - chi_c) // 2
+    V, E, F = len(rg.rotation), len(rg.edges), len(loops)
     summary = SurfaceSummary(
-        vertices=V, edges=E, faces=F, components=len(components),
+        vertices=V, edges=E, faces=F, components=len(chi),
         euler=V - E + F, genus=genus, boundary=boundary,
-        chi_surface=V - E + F - boundary, arcs=tuple(arcs))
+        chi_surface=V - E + F - boundary, arcs=tuple(_arcs(rg)))
     summary.check()
     return summary
 
@@ -365,9 +346,8 @@ def surface_summary(x: WeightedSurjection) -> SurfaceSummary:
     for v, tag in rg.tags.items():
         if tag is None:
             raise InternalError("uncollapsed interior vertex survived")
-        rot = rg.rotation[v]
-        h_b = rot[1]
-        if rg.sigma(rg.alpha[h_b]) != h_b:
+        h_b = rg.rotation[v][1]
+        if rg.sigma(h_b ^ 1) != h_b:
             raise InternalError("boundary circle does not bound a disk")
     return summarize_ribbon(rg, x.n + x.m)
 
@@ -378,24 +358,11 @@ def recover_surjection(rg: RibbonGraph, n, m) -> WeightedSurjection:
     Zero-weight arcs and involutions exposed by removed arcs are folded
     away, so the result is always a canonical form.
     """
-    from .surjections import _canonical_parts
-    blocks = []
-    weights = []
-    for i in range(n):
-        v = next(u for u, t in rg.tags.items() if t == ("in", i))
-        rot = rg.rotation[v]
-        strand_halves = rot[2:]  # interval endpoints sit first
-        blk = []
-        ws = []
-        for h in strand_halves:
-            e = rg.edge_of_half(h)
-            data = rg.edges[e]
-            other = rg.at[data["head"]]
-            tag = rg.tags[other]
-            blk.append(tag[1] + 1)
-            ws.append(data["weight"])
-        blocks.append(tuple(blk))
-        weights.append(tuple(ws))
+    blocks = [[] for _ in range(n)]
+    weights = [[] for _ in range(n)]
+    for i, j, w in _arcs(rg):
+        blocks[i - 1].append(j)
+        weights[i - 1].append(w)
     blocks, weights = _canonical_parts(blocks, weights)
     return WeightedSurjection(n, m, blocks, weights)
 
@@ -432,8 +399,7 @@ def ribbon_to_dot(rg: RibbonGraph, name="ribbon") -> str:
 
 def svg_sketch(x: WeightedSurjection) -> str:
     """A rough drawing: input circles on top, outputs below, weighted arcs."""
-    rg = collapse_edges(to_ribbon(x))
-    summary = summarize_ribbon(rg, x.n + x.m)
+    summary = surface_summary(x)
     width = 120 * max(x.n, x.m) + 60
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="300">']
     pos = {}

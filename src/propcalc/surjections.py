@@ -541,19 +541,11 @@ def eliminate_counits(g: GraphTerm):
     return work.to_graph()
 
 
-def leibniz_push(g: GraphTerm, weighting: EdgeWeighting = None) -> GraphTerm:
-    """Push every product below every coproduct along any directed path.
-
-    With no weighting given, the strict one propagated from the outputs is
-    used; an explicit (conservation-only) weighting supports rewriting
-    subgraphs in context.
-    """
+def leibniz_push(g: GraphTerm) -> GraphTerm:
+    """Push every product below every coproduct along any directed path,
+    under the weighting propagated from the outputs."""
     require_valid(g)
-    if weighting is None:
-        weighting = to_edge_weights(g)
-    else:
-        weighting.require(strict_outputs=False)
-    work = _Work.from_graph(g, weighting)
+    work = _Work.from_graph(g, to_edge_weights(g))
     if counit_redexes(work):
         raise GraphError("leibniz_push expects internal counits eliminated first")
     work.pass_leibniz()

@@ -149,6 +149,13 @@ def test_cochain_face_outside_the_complex_exit_1(capsys, tmp_path):
                 "--a", os.path.join(DATA, "rp2_h1.cc"), "--b", str(stray)]) == 1
 
 
+def test_a_cochain_face_with_a_repeated_vertex_is_stray(capsys, tmp_path):
+    stray = tmp_path / "repeated.cc"
+    stray.write_text("2 1 1\n")
+    assert _sq(str(stray)) == 1
+    assert "face 1 1 2 is not a simplex" in capsys.readouterr().err
+
+
 def test_the_smallest_stray_face_is_named(capsys, tmp_path):
     stray = tmp_path / "stray.cc"
     stray.write_text("4 9\n1 9\n")
@@ -179,6 +186,37 @@ def test_defaults_and_usage_errors_leave_the_parser_usable(capsys):
     assert "usage:" in capsys.readouterr().err
     assert run(["normalize", "delta"]) == 0
     assert capsys.readouterr().out.strip() == "surj n=1 m=2 : 1/1 2/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "delta", "--format", "dot"],
+    ["normalize", "delta", "--format", "svg"],
+    ["compose", "delta", "id | id", "--format", "dot"],
+    ["parse", "delta", "--format", "svg"],
+    ["export", "delta", "--format", "svg"],
+    ["export", "delta", "--format", "text"],
+], ids=["normalize-dot", "normalize-svg", "compose-dot", "parse-svg", "export-svg",
+        "export-text"])
+def test_a_format_the_subcommand_does_not_render_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, formats", [
+    (["parse", "delta"], ["text", "json", "dot"]),
+    (["normalize", "delta"], ["text", "json"]),
+    (["compose", "delta", "id | id"], ["text", "json"]),
+    (["export", "delta"], ["json", "dot"]),
+    (["surface", "delta"], ["text", "json", "dot", "svg"]),
+], ids=["parse", "normalize", "compose", "export", "surface"])
+def test_each_format_a_subcommand_accepts_prints_its_own_output(capsys, argv, formats):
+    outputs = set()
+    for fmt in formats:
+        assert run(argv + ["--format", fmt]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == len(formats)
 
 
 # --- the faces of a complex are built only where a command needs them --------

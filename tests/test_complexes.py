@@ -162,6 +162,18 @@ def test_cup_requires_homogeneous():
         cup_i(0, frozenset({(0,), (0, 1)}), frozenset({(1,)}), K)
 
 
+def test_is_coboundary_requires_homogeneous():
+    with pytest.raises(GraphError, match="homogeneous"):
+        is_coboundary(rp2(), frozenset({(1, 2), (1, 2, 3)}))
+
+
+def test_faces_read_from_text_are_sorted_once():
+    assert SimplicialComplex.from_text("2 0 1\n1 2 0\n").simplices(2) == [(0, 1, 2)]
+    assert cochain_from_text("2 1\n3 1 2\n") == frozenset({(1, 2), (1, 2, 3)})
+    # a repeated vertex is kept, so the face is no simplex of any complex
+    assert cochain_from_text("2 1 1\n") == frozenset({(1, 1, 2)})
+
+
 def test_steenrod_coboundary_relation_on_simplices():
     rng = random.Random(62)
     for d in (2, 3, 4):

@@ -74,7 +74,7 @@ def test_every_directed_edge_in_exactly_one_loop():
         rg = to_ribbon(x)
         loops = ribbon_loops(rg)
         halves = [h for loop in loops for h in loop]
-        assert sorted(halves) == sorted(rg.alpha.keys())
+        assert sorted(halves) == sorted(rg.at)
 
 
 def test_collapse_idempotent_and_stable():
@@ -146,7 +146,7 @@ def test_boundary_circles_bound_disks():
     for v in rg.tags:
         rot = rg.rotation[v]
         h = rot[1]
-        assert rg.sigma(rg.alpha[h]) == h  # a one-gon face per circle
+        assert rg.sigma(h ^ 1) == h  # a one-gon face per circle
 
 
 def test_exports():
@@ -221,7 +221,6 @@ def _old_contract_edge(rg, e):
     for h in spliced:
         rg.at[h] = keep
     del rg.rotation[gone], rg.tags[gone]
-    del rg.alpha[h_tail], rg.alpha[h_head]
     del rg.at[h_tail], rg.at[h_head]
     return rg
 
@@ -235,7 +234,7 @@ def _old_collapse_edges(rg):
 
 
 def _state(rg):
-    return rg.rotation, rg.alpha, rg.at, rg.edges, rg.tags
+    return rg.rotation, rg.at, rg.edges, rg.tags
 
 
 def _assert_collapse_matches_the_oracle(rg):
@@ -244,7 +243,8 @@ def _assert_collapse_matches_the_oracle(rg):
     new = collapse_edges(rg)
     assert _state(rg) == before  # the input is left alone
     assert _state(new) == _state(_old_collapse_edges(rg))
-    assert new.half_edge == {h: e for e, d in new.edges.items() for h in (d["tail"], d["head"])}
+    for e, d in new.edges.items():
+        assert new.edge_of_half(d["tail"]) == new.edge_of_half(d["head"]) == e
     for e in _old_collapsible_edges(rg)[:2]:
         assert _state(contract_edge(rg, e)) == _state(_old_contract_edge(rg, e))
 
@@ -430,8 +430,7 @@ def _ribbon_data(rg):
     edges = [(e, d["tail"], d["head"], d["weight"], type(d["weight"]), d["kind"])
              for e, d in rg.edges.items()]
     return (list(rg.rotation.items()), list(rg.tags.items()), edges,
-            list(rg.alpha.items()), list(rg.at.items()), list(rg.half_edge.items()),
-            rg._next_half, rg._next_edge)
+            list(rg.at.items()), rg._next_edge)
 
 
 def _expansion_cases():

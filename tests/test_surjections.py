@@ -5,7 +5,6 @@ import pytest
 
 from propcalc.errors import (CompositionError, GraphError, InternalError, PropcalcError,
                              WeightingError)
-from propcalc.generators import EdgeWeighting, to_edge_weights
 from propcalc.graphs import (Permutation, iso_equal, sources_by_target, unit,
                              vertical_compose)
 from propcalc.surjections import (SurjType, WeightedSurjection, _canonical_parts,
@@ -117,50 +116,25 @@ def test_eliminate_counits_keeps_input_caps():
     assert sum(1 for v in g.vertices if v.kind == "eps") == 1
 
 
-def test_leibniz_push_three_cases_with_context_weights():
-    # the (2,2) exchange with explicit subgraph weightings
-    bubble = parse("mu(0) ; delta")  # parameter is irrelevant, weights rule
-
-    def weighting(a1, a2, b1, b2):
-        g = bubble
-        w = {}
-        for src, dst in g.edges:
-            if dst == ("vi", 0, 0):
-                w[(src, dst)] = Fraction(a1)
-            elif dst == ("vi", 0, 1):
-                w[(src, dst)] = Fraction(a2)
-            elif dst == ("out", 0):
-                w[(src, dst)] = Fraction(b1)
-            elif dst == ("out", 1):
-                w[(src, dst)] = Fraction(b2)
-            else:  # the middle edge
-                w[(src, dst)] = Fraction(a1) + Fraction(a2)
-        return EdgeWeighting(g, w)
+def test_leibniz_push_three_cases():
+    # the (2,2) exchange under the weights propagated from the outputs: mu(s)
+    # splits the weight 2 below it into 2(1 - s) on input 0 and 2s on input 1,
+    # and the input that carries more than one output's weight 1 keeps a coproduct
 
     # middle case: two disjoint strands
-    g = leibniz_push(bubble, weighting("1/2", "1/2", "1/2", "1/2"))
-    assert iso_equal(g, unit(2))
+    assert iso_equal(leibniz_push(parse("mu(1/2) ; delta")), unit(2))
 
-    # first case: coproduct on input 1, middle edge weighs a1 - b1 = 1/3
-    g = leibniz_push(bubble, weighting("2/3", "1/3", "1/3", "2/3"))
-    kinds = sorted(v.kind for v in g.vertices)
-    assert kinds == ["delta", "mu"]
-    w2 = {dst: val for (src, dst), val
-          in to_edge_weights_relaxed(g, weighting("2/3", "1/3", "1/3", "2/3")).items()}
+    # first case: the coproduct sits on input 0
+    g = leibniz_push(parse("mu(1/3) ; delta"))
+    assert sorted(v.kind for v in g.vertices) == ["delta", "mu"]
     delta_v = next(v for v, vert in enumerate(g.vertices) if vert.kind == "delta")
-    by_target = sources_by_target(g)
-    assert by_target[("vi", delta_v, 0)] == ("in", 0)
+    assert sources_by_target(g)[("vi", delta_v, 0)] == ("in", 0)
 
     # mirror case
-    g = leibniz_push(bubble, weighting("1/3", "2/3", "2/3", "1/3"))
+    g = leibniz_push(parse("mu(2/3) ; delta"))
+    assert sorted(v.kind for v in g.vertices) == ["delta", "mu"]
     delta_v = next(v for v, vert in enumerate(g.vertices) if vert.kind == "delta")
-    by_target = sources_by_target(g)
-    assert by_target[("vi", delta_v, 0)] == ("in", 1)
-
-
-def to_edge_weights_relaxed(g, weighting):
-    # helper for inspection only; the reweighting lives in the rewrite itself
-    return weighting.weights
+    assert sources_by_target(g)[("vi", delta_v, 0)] == ("in", 1)
 
 
 def test_leibniz_push_mu_free_unchanged():
