@@ -14,8 +14,8 @@ from .graphs import (GraphTerm, Permutation, Vertex, absorb_equivalences,
                      horizontal_compose, iso_equal, permutation_graph,
                      permute_inputs, permute_outputs, unit, validate,
                      vertical_compose)
-from .generators import (EdgeWeighting, S, S_TILDE, apply_attaching,
-                         apply_relations_S, corolla, from_edge_weights,
+from .generators import (S, S_TILDE, apply_attaching, apply_relations_S,
+                         check_edge_weights, corolla, from_edge_weights,
                          stabilize_add, stabilize_remove, to_edge_weights)
 from .terms import parse
 from .surjections import (SurjType, WeightedSurjection, canonicalize_ws,

@@ -26,9 +26,10 @@ from operator import itemgetter
 
 from .complexes import cochain_degree, is_cocycle
 from .errors import CompositionError, GraphError, InternalError
-from .graphs import GraphTerm, Permutation, plan_of
-from .surjections import (SurjType, _strands_by_wire, expand_graph, normalize,
-                          uniform_weights)
+from .graphs import NPARAMS, GraphTerm, Permutation, plan_of
+from .surjections import (SurjType, _strands_by_wire, expand_graph, horizontal_type,
+                          identity_type, normalize, permute_inputs_type,
+                          permute_outputs_type, uniform_weights)
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class ChainElement:
         return not self.support
 
 
-def identity_type(k: int) -> SurjType:
-    return SurjType(k, k, tuple((j,) for j in range(1, k + 1)))
-
-
 def eps_type() -> SurjType:
     return SurjType(1, 0, ((),))
 
@@ -81,20 +78,6 @@ def mu_type() -> SurjType:
 def cup_type(i: int) -> SurjType:
     """The (1,2) generator of degree i: assignments alternate 1,2,1,2,..."""
     return SurjType(1, 2, (tuple(1 if t % 2 == 0 else 2 for t in range(i + 2)),))
-
-
-def horizontal_type(t1: SurjType, t2: SurjType) -> SurjType:
-    blocks = t1.blocks + tuple(tuple(f + t1.m for f in blk) for blk in t2.blocks)
-    return SurjType(t1.n + t2.n, t1.m + t2.m, blocks)
-
-
-def permute_inputs_type(t: SurjType, sigma: Permutation) -> SurjType:
-    return SurjType(t.n, t.m,
-                    tuple(t.blocks[sigma(j) - 1] for j in range(1, t.n + 1)))
-
-
-def permute_outputs_type(t: SurjType, tau: Permutation) -> SurjType:
-    return SurjType(t.n, t.m, tuple(tuple(tau(f) for f in blk) for blk in t.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +211,6 @@ def permute_inputs_chain(x: ChainElement, sigma: Permutation) -> ChainElement:
 
 
 _GEN_TYPES = {"eps": eps_type, "delta": delta_type, "mu": mu_type}
-_GEN_DEGREE = {"eps": 0, "delta": 0, "mu": 1, "phi": 1, "id": 0}
 
 
 def chain_eval(g: GraphTerm) -> ChainElement:
@@ -236,7 +218,7 @@ def chain_eval(g: GraphTerm) -> ChainElement:
     contributes its whole generating cell, and the counit homotopy is sent
     to zero (its image cell is degenerate)."""
     plan = plan_of(g)
-    degree = sum(_GEN_DEGREE[v.kind] for v in g.vertices)
+    degree = sum(NPARAMS[v.kind] for v in g.vertices)
     if any(v.kind == "phi" for v in g.vertices):
         return ChainElement.zero(g.n, g.m, degree)
 

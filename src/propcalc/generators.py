@@ -15,6 +15,10 @@ Conventions (fixed once, used consistently everywhere):
 * phi at 0 is the plain strand, phi at 1 is delta with the counit grafted
   on its first output.
 
+A weighting maps each edge's target endpoint, its name in the term's plan,
+to its weight; `check_edge_weights` checks one, and `recover_mu_params` is
+the one place that reads mu parameters back off weighted edges.
+
 The counit relations live here once, as a redex rule (`counit_redexes`)
 and a rewrite (`rewrite_counit`) on a `graphs.Wiring`.  `apply_relations_S`
 and the normalizer's counit pass both drive them with `Wiring.exhaust`,
@@ -23,12 +27,11 @@ which takes redexes in counit-id order unless an rng picks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GraphError, WeightingError
-from .graphs import (ARITY, GraphTerm, Vertex, Wiring, horizontal_compose, plan_of,
-                     unit, vertical_compose)
+from .graphs import (ARITY, GraphTerm, Vertex, Wiring, absorb_equivalences,
+                     horizontal_compose, plan_of, unit, vertical_compose)
 
 # prop tags selecting which relation set applies
 S_TILDE = "stilde"
@@ -172,10 +175,12 @@ def apply_relations_S(g: GraphTerm, tag: str = S) -> GraphTerm:
     delta with both outputs capped becomes a counit, a counit below mu
     splits, and a counit below phi deletes the phi.  Redexes are taken in
     counit-id order (`counit_redexes`), which makes the rewrite
-    deterministic; confluence is checked separately by tests.
+    deterministic; confluence is checked separately by tests.  `id`
+    vertices are absorbed first, as the normalizer does, so that no counit
+    is hidden behind one.
     """
     check_tag(g, tag)
-    work = Wiring.from_term(g)
+    work = Wiring.from_term(absorb_equivalences(g))
     work.exhaust(lambda w: counit_redexes(w, tag), rewrite_counit,
                  what="counit relations")
     return work.to_term()
@@ -184,108 +189,98 @@ def apply_relations_S(g: GraphTerm, tag: str = S) -> GraphTerm:
 # ---------------------------------------------------------------------------
 # edge-weight coordinates
 
-@dataclass(frozen=True)
-class EdgeWeighting:
-    """Nonnegative exact weights on the edges of a graph term.
+def check_edge_weights(g: GraphTerm, weights) -> list:
+    """The problems of `weights` as a weighting of g, which must be valid.
 
-    Conditions: edges into a counit weigh 0, edges into external outputs
-    weigh 1, and at every vertex total inflow equals total outflow.
+    A weighting maps each edge's target endpoint to a nonnegative exact
+    weight.  Conditions: edges into a counit weigh 0, edges into external
+    outputs weigh 1, and at every vertex total inflow equals total outflow.
     """
-
-    graph: GraphTerm
-    weights: dict = field(compare=False)
-
-    def check(self):
-        g = self.graph
-        plan = plan_of(g)
-        problems = []
-        for dst, src in plan.src.items():
-            w = self.weights.get((src, dst))
-            if w is None:
-                problems.append(f"edge {src}->{dst} has no weight")
-                continue
-            if w < 0:
-                problems.append(f"edge {src}->{dst} has negative weight {w}")
-            if dst[0] == "vi" and g.vertices[dst[1]].kind == "eps" and w != 0:
-                problems.append(f"counit edge {src}->{dst} has weight {w} != 0")
-            if dst[0] == "out" and w != 1:
-                problems.append(f"output edge {src}->{dst} has weight {w} != 1")
-        if problems:
-            return problems
-        for v, vert in enumerate(g.vertices):
-            a, b = vert.arity
-            inflow = sum(self.weights[(plan.src[("vi", v, k)], ("vi", v, k))]
-                         for k in range(a))
-            outflow = sum(self.weights[(("vo", v, k), plan.tgt[("vo", v, k)])]
-                          for k in range(b))
-            if vert.kind != "eps" and inflow != outflow:
-                problems.append(f"vertex {v} ({vert.kind}): inflow {inflow} != outflow {outflow}")
+    plan = plan_of(g)
+    problems = []
+    for dst, src in plan.src.items():
+        w = weights.get(dst)
+        if w is None:
+            problems.append(f"edge {src}->{dst} has no weight")
+            continue
+        if w < 0:
+            problems.append(f"edge {src}->{dst} has negative weight {w}")
+        if dst[0] == "vi" and g.vertices[dst[1]].kind == "eps" and w != 0:
+            problems.append(f"counit edge {src}->{dst} has weight {w} != 0")
+        if dst[0] == "out" and w != 1:
+            problems.append(f"output edge {src}->{dst} has weight {w} != 1")
+    if problems:
         return problems
+    for v, vert in enumerate(g.vertices):
+        a, b = vert.arity
+        inflow = sum(weights[("vi", v, k)] for k in range(a))
+        outflow = sum(weights[plan.tgt[("vo", v, k)]] for k in range(b))
+        if vert.kind != "eps" and inflow != outflow:
+            problems.append(f"vertex {v} ({vert.kind}): inflow {inflow} != outflow {outflow}")
+    return problems
 
-    def require(self):
-        problems = self.check()
-        if problems:
-            raise WeightingError("; ".join(problems))
-        return self
 
-
-def to_edge_weights(g: GraphTerm) -> EdgeWeighting:
+def to_edge_weights(g: GraphTerm) -> dict:
     """Propagate weight 1 up from each external output.
 
     A delta input weighs the sum of its outputs; a mu_s vertex with output
     weight a puts (1-s)a on its first input and s*a on the second; counit
-    edges weigh 0.  Total on acyclic graphs.
+    edges weigh 0.  Total on acyclic graphs.  Edges are named by their
+    target endpoints, as in the term's plan.
     """
     plan = plan_of(g)
     if any(v.kind == "phi" for v in g.vertices):
         raise GraphError("edge weights are defined on the counital presentation only")
 
-    weights = {(plan.src[("out", j)], ("out", j)): Fraction(1) for j in range(g.m)}
+    weights = {("out", j): Fraction(1) for j in range(g.m)}
     for v in reversed(plan.order):
-        vert = g.vertices[v]
-        ins = [(plan.src[("vi", v, k)], ("vi", v, k)) for k in range(vert.arity[0])]
-        if vert.kind == "eps":
-            weights[ins[0]] = Fraction(0)
-            continue
-        out_w = [weights[(("vo", v, k), plan.tgt[("vo", v, k)])]
-                 for k in range(vert.arity[1])]
-        if vert.kind == "delta":
-            weights[ins[0]] = out_w[0] + out_w[1]
-        elif vert.kind == "mu":
-            s = vert.params[0]
-            a = out_w[0]
-            weights[ins[0]] = (1 - s) * a
-            weights[ins[1]] = s * a
+        kind = g.vertices[v].kind
+        if kind == "eps":
+            weights[("vi", v, 0)] = Fraction(0)
+        elif kind == "delta":
+            weights[("vi", v, 0)] = (weights[plan.tgt[("vo", v, 0)]]
+                                     + weights[plan.tgt[("vo", v, 1)]])
+        elif kind == "mu":
+            s = g.vertices[v].params[0]
+            a = weights[plan.tgt[("vo", v, 0)]]
+            weights[("vi", v, 0)] = (1 - s) * a
+            weights[("vi", v, 1)] = s * a
         else:  # id
-            weights[ins[0]] = out_w[0]
-    return EdgeWeighting(g, weights)
+            weights[("vi", v, 0)] = weights[plan.tgt[("vo", v, 0)]]
+    return weights
 
 
-def from_edge_weights(g: GraphTerm, weighting: EdgeWeighting):
-    """Recover mu parameters from a weighting; inverse of to_edge_weights.
+def recover_mu_params(work: Wiring) -> frozenset:
+    """Set each mu's parameter to its second input's share of its output
+    weight, read off the edge labels of `work`.
 
-    Returns (graph with parameters replaced, frozenset of flagged vertex
-    indices).  A mu vertex whose output weighs 0 has an unrecoverable
-    parameter; it gets s = 0 and a flag, which is harmless because the
+    Returns the mu vertices whose output weighs 0: their parameter is
+    unrecoverable, so they get s = 0, which is harmless because the
     relations identify all such parameters anyway.
     """
-    weighting.require()
-    plan = plan_of(g)
-    new_vertices = []
     flagged = set()
-    for v, vert in enumerate(g.vertices):
-        if vert.kind != "mu":
-            new_vertices.append(vert)
-            continue
-        a = weighting.weights[(("vo", v, 0), plan.tgt[("vo", v, 0)])]
-        w2 = weighting.weights[(plan.src[("vi", v, 1)], ("vi", v, 1))]
-        if a == 0:
-            flagged.add(v)
-            s = Fraction(0)
-        else:
-            s = w2 / a
-        new_vertices.append(Vertex("mu", (s,)))
-    return GraphTerm(g.n, g.m, tuple(new_vertices), g.edges), frozenset(flagged)
+    for v, kind in work.kind.items():
+        if kind == "mu":
+            a = work.w[work.tgt[("vo", v, 0)]]
+            if not a:
+                flagged.add(v)
+            work.params[v] = (work.w[("vi", v, 1)] / a if a else Fraction(0),)
+    return frozenset(flagged)
+
+
+def from_edge_weights(g: GraphTerm, weights: dict):
+    """Recover mu parameters from a weighting of g; inverse of to_edge_weights.
+
+    Returns (graph with parameters replaced, frozenset of the vertex
+    indices flagged by `recover_mu_params`).  Raises WeightingError when
+    `weights` is not a weighting of g.
+    """
+    problems = check_edge_weights(g, weights)
+    if problems:
+        raise WeightingError("; ".join(problems))
+    work = Wiring.from_term(g, weights)
+    flagged = recover_mu_params(work)
+    return work.to_term(), flagged
 
 
 # ---------------------------------------------------------------------------

@@ -402,15 +402,14 @@ class Wiring:
 
     @classmethod
     def from_term(cls, g: GraphTerm, weights=None):
-        """Open a copy of the valid term g; `weights` maps each edge
-        (src, dst) to its label."""
+        """Open a copy of the valid term g; `weights` maps each edge's
+        target endpoint to its label."""
         plan = plan_of(g)
         work = cls(g.n, g.m)
         for vert in g.vertices:
             work.new_vertex(vert.kind, vert.params)
         work.src, work.tgt = dict(plan.src), dict(plan.tgt)
-        work.w = (dict.fromkeys(plan.src) if weights is None
-                  else {dst: weights[(s, dst)] for dst, s in plan.src.items()})
+        work.w = dict.fromkeys(plan.src) if weights is None else dict(weights)
         return work
 
     def add_edge(self, s, d, w=None):

@@ -437,11 +437,11 @@ def codegeneracy(p: SimplexPoint, i) -> SimplexPoint:
     return SimplexPoint(xs[:i - 1] + xs[i:])
 
 
-def _as_map(g, degree=0):
+def _as_map(g):
     if isinstance(g, GraphTerm):
         return (lambda pts: eval_term(g, pts)), g.n, g.m, term_degree(g)
     fn, n, m = g
-    return fn, n, m, degree
+    return fn, n, m, 0
 
 
 def check_cellular(g, d, samples, rng, denom=64):
@@ -449,7 +449,8 @@ def check_cellular(g, d, samples, rng, denom=64):
 
     Cellularity: the total output skeleton level may exceed the total
     input level by at most the dimension of the operation's own cell.
-    `g` is a graph term, or a triple (fn, n, m) for corrupted controls.
+    `g` is a graph term, or a triple (fn, n, m), checked as a degree-0 cell,
+    for corrupted controls.
     """
     fn, n, m, degree = _as_map(g)
     violations = []

@@ -17,11 +17,11 @@ those cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CompositionError, GraphError, InternalError, WeightingError
-from .generators import (EdgeWeighting, S, apply_attaching, corolla, counit_redexes,
+from .generators import (S, apply_attaching, corolla, counit_redexes, recover_mu_params,
                          rewrite_counit, to_edge_weights)
 from .graphs import (GraphTerm, Permutation, Wiring, absorb_equivalences,
                      horizontal_compose, permutation_graph, require_valid,
@@ -68,17 +68,44 @@ class SurjType:
         return counts
 
 
-@dataclass(frozen=True)
-class WeightedSurjection:
-    """A point of the cell named by its type: strand weights, sums 1 per output."""
+def identity_type(k: int) -> SurjType:
+    return SurjType(k, k, tuple((j,) for j in range(1, k + 1)))
 
-    n: int
-    m: int
-    blocks: tuple
+
+def horizontal_type(*ts) -> SurjType:
+    """The types side by side, each one's outputs numbered after the ones before."""
+    blocks = []
+    n = m = 0
+    for t in ts:
+        blocks.extend(tuple(f + m for f in blk) for blk in t.blocks)
+        n += t.n
+        m += t.m
+    return SurjType(n, m, tuple(blocks))
+
+
+def permute_inputs_type(t: SurjType, sigma: Permutation) -> SurjType:
+    """New input j carries what old input sigma(j) carried."""
+    if sigma.degree != t.n:
+        raise GraphError("permutation degree mismatch")
+    return SurjType(t.n, t.m, tuple(t.blocks[sigma(j) - 1] for j in range(1, t.n + 1)))
+
+
+def permute_outputs_type(t: SurjType, tau: Permutation) -> SurjType:
+    """Old output f becomes output tau(f); a weighted surjection keeps its
+    weights, since each strand keeps its place."""
+    if tau.degree != t.m:
+        raise GraphError("permutation degree mismatch")
+    return replace(t, blocks=tuple(tuple(tau(f) for f in blk) for blk in t.blocks))
+
+
+@dataclass(frozen=True)
+class WeightedSurjection(SurjType):
+    """A point of its cell: the type plus strand weights, sums 1 per output."""
+
     weights: tuple
 
     def __post_init__(self):
-        SurjType(self.n, self.m, self.blocks)  # structural checks
+        super().__post_init__()
         if len(self.weights) != len(self.blocks):
             raise GraphError("weights do not match blocks")
         sums = [Fraction(0)] * self.m
@@ -96,14 +123,6 @@ class WeightedSurjection:
     @property
     def stype(self):
         return SurjType(self.n, self.m, self.blocks)
-
-    @property
-    def r(self):
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def degree(self):
-        return self.r - self.m
 
     @property
     def is_interior(self):
@@ -134,11 +153,6 @@ class WeightedSurjection:
         return cls(doc["n"], doc["m"],
                    tuple(tuple(b) for b in doc["blocks"]),
                    tuple(tuple(Fraction(w) for w in ws) for ws in doc["weights"]))
-
-
-def identity_ws(k: int) -> WeightedSurjection:
-    return WeightedSurjection(k, k, tuple((j,) for j in range(1, k + 1)),
-                              tuple((Fraction(1),) for _ in range(k)))
 
 
 def counit_class(n: int) -> WeightedSurjection:
@@ -179,35 +193,23 @@ def canonicalize_ws(x: WeightedSurjection) -> WeightedSurjection:
 # ---------------------------------------------------------------------------
 # prop structure on canonical forms
 
+def identity_ws(k: int) -> WeightedSurjection:
+    return uniform_weights(identity_type(k))
+
+
 def horizontal_ws(xs) -> WeightedSurjection:
-    xs = list(xs)
-    blocks = []
-    weights = []
-    shift = 0
-    n = m = 0
-    for x in xs:
-        blocks.extend(tuple(f + shift for f in blk) for blk in x.blocks)
-        weights.extend(x.weights)
-        shift += x.m
-        n += x.n
-        m += x.m
-    return WeightedSurjection(n, m, tuple(blocks), tuple(weights))
+    xs = tuple(xs)
+    t = horizontal_type(*xs)
+    return WeightedSurjection(t.n, t.m, t.blocks, sum((x.weights for x in xs), ()))
 
 
 def permute_inputs_ws(x: WeightedSurjection, sigma: Permutation) -> WeightedSurjection:
-    """New input j carries what old input sigma(j) carried."""
-    if sigma.degree != x.n:
-        raise GraphError("permutation degree mismatch")
-    blocks = tuple(x.blocks[sigma(j) - 1] for j in range(1, x.n + 1))
-    weights = tuple(x.weights[sigma(j) - 1] for j in range(1, x.n + 1))
-    return WeightedSurjection(x.n, x.m, blocks, weights)
+    t = permute_inputs_type(x, sigma)
+    return WeightedSurjection(t.n, t.m, t.blocks,
+                              tuple(x.weights[sigma(j) - 1] for j in range(1, x.n + 1)))
 
 
-def permute_outputs_ws(x: WeightedSurjection, tau: Permutation) -> WeightedSurjection:
-    if tau.degree != x.m:
-        raise GraphError("permutation degree mismatch")
-    blocks = tuple(tuple(tau(f) for f in blk) for blk in x.blocks)
-    return WeightedSurjection(x.n, x.m, blocks, x.weights)
+permute_outputs_ws = permute_outputs_type
 
 
 def cap_output_ws(x: WeightedSurjection, j: int) -> WeightedSurjection:
@@ -320,11 +322,13 @@ class _Work(Wiring):
     """The normalizer's rewrite passes over a weighted eps/delta/mu wiring."""
 
     @classmethod
-    def from_graph(cls, g: GraphTerm, weighting: EdgeWeighting):
+    def from_graph(cls, g: GraphTerm):
+        """Open g with every edge labelled by `to_edge_weights`."""
+        weights = to_edge_weights(g)
         for vert in g.vertices:
             if vert.kind not in ("eps", "delta", "mu"):
                 raise GraphError(f"normalizer does not accept {vert.kind} vertices")
-        return cls.from_term(g, weighting.weights)
+        return cls.from_term(g, weights)
 
     def position_key(self, src_ep):
         """Canonical strand position of an edge source: (input index, branch word).
@@ -464,10 +468,7 @@ class _Work(Wiring):
 
     def to_graph(self) -> GraphTerm:
         """Export with mu parameters recovered from the local weights."""
-        for v, kind in self.kind.items():
-            if kind == "mu":
-                a = self.w[self.tgt[("vo", v, 0)]]
-                self.params[v] = (self.w[("vi", v, 1)] / a if a else Fraction(0),)
+        recover_mu_params(self)
         return self.to_term()
 
     def extract(self) -> WeightedSurjection:
@@ -504,10 +505,7 @@ class _Work(Wiring):
 
 
 def _prepare(g: GraphTerm) -> _Work:
-    g = absorb_equivalences(g)
-    g = apply_attaching(g, S)
-    weighting = to_edge_weights(g)
-    return _Work.from_graph(g, weighting)
+    return _Work.from_graph(apply_attaching(absorb_equivalences(g), S))
 
 
 def normalize(g: GraphTerm, rng=None) -> WeightedSurjection:
@@ -545,7 +543,7 @@ def leibniz_push(g: GraphTerm) -> GraphTerm:
     """Push every product below every coproduct along any directed path,
     under the weighting propagated from the outputs."""
     require_valid(g)
-    work = _Work.from_graph(g, to_edge_weights(g))
+    work = _Work.from_graph(g)
     if counit_redexes(work):
         raise GraphError("leibniz_push expects internal counits eliminated first")
     work.pass_leibniz()

@@ -1,62 +1,74 @@
 """Acceptance gate: every criterion suite must pass at its stated scale.
 
-Each test runs one criterion with the fixed default seed and prints its
-pass/fail line; the whole module is the machine-checkable exit gate.
+The whole verification runs once per module, with the fixed default seed.
+Each criterion's test prints and asserts its own pass/fail line, and the
+budget test times the run; the whole module is the machine-checkable exit
+gate.
 """
+
+import time
+
+import pytest
 
 from propcalc import verify
 
 
-def _run(fn):
-    res = fn(verify.DEFAULT_SEED)
+@pytest.fixture(scope="module")
+def full_run():
+    """The outcomes of one full run, by criterion number, and its wall time."""
+    t0 = time.time()
+    results = verify.run_all(seed=verify.DEFAULT_SEED, out=lambda *_: None)
+    return {res.number: res for res in results}, time.time() - t0
+
+
+def _check(full_run, number):
+    res = full_run[0][number]
     status = "PASS" if res.passed else "FAIL"
     print(f"criterion {res.number} {status} [{res.seconds:6.2f}s] "
           f"{res.name}: {res.detail}")
     assert res.passed, f"criterion {res.number} failed: {res.detail}"
 
 
-def test_criterion_1_confluence_unique_normal_forms():
-    _run(verify.crit1_confluence)
+def test_criterion_1_confluence_unique_normal_forms(full_run):
+    _check(full_run, 1)
 
 
-def test_criterion_2_basis_counts():
-    _run(verify.crit2_basis_counts)
+def test_criterion_2_basis_counts(full_run):
+    _check(full_run, 2)
 
 
-def test_criterion_3_differential_squares_to_zero():
-    _run(verify.crit3_differential)
+def test_criterion_3_differential_squares_to_zero(full_run):
+    _check(full_run, 3)
 
 
-def test_criterion_4_chain_map_and_act_compatibility():
-    _run(verify.crit4_chain_map)
+def test_criterion_4_chain_map_and_act_compatibility(full_run):
+    _check(full_run, 4)
 
 
-def test_criterion_5_steenrod_suite():
-    _run(verify.crit5_steenrod)
+def test_criterion_5_steenrod_suite(full_run):
+    _check(full_run, 5)
 
 
-def test_criterion_6_cw_level_suite():
-    _run(verify.crit6_cw_suite)
+def test_criterion_6_cw_level_suite(full_run):
+    _check(full_run, 6)
 
 
-def test_criterion_7_stabilization():
-    _run(verify.crit7_stabilization)
+def test_criterion_7_stabilization(full_run):
+    _check(full_run, 7)
 
 
-def test_criterion_8_arc_surfaces():
-    _run(verify.crit8_surfaces)
+def test_criterion_8_arc_surfaces(full_run):
+    _check(full_run, 8)
 
 
-def test_criterion_9_symmetric_group_anchors():
-    _run(verify.crit9_symmetry)
+def test_criterion_9_symmetric_group_anchors(full_run):
+    _check(full_run, 9)
 
 
-def test_full_run_under_the_time_budget():
-    import time
-    t0 = time.time()
-    results = verify.run_all(seed=verify.DEFAULT_SEED, out=lambda *_: None)
-    elapsed = time.time() - t0
-    assert all(r.passed for r in results)
+def test_full_run_under_the_time_budget(full_run):
+    outcomes, elapsed = full_run
+    assert len(outcomes) == len(verify.SUITES)
+    assert all(res.passed for res in outcomes.values())
     assert elapsed < 300, f"verification took {elapsed:.0f}s, budget is 300s"
 
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from propcalc.errors import GraphError, WeightingError
-from propcalc.generators import (EdgeWeighting, S, S_TILDE, apply_attaching,
-                                 apply_relations_S, check_tag, corolla, counit_redexes,
+from propcalc.generators import (S, S_TILDE, apply_attaching, apply_relations_S,
+                                 check_edge_weights, check_tag, corolla, counit_redexes,
                                  from_edge_weights, rewrite_counit, stabilize_add,
                                  stabilize_remove, to_edge_weights)
-from propcalc.graphs import (GraphTerm, Vertex, Wiring, horizontal_compose, iso_equal,
-                             sources_by_target, unit, vertical_compose)
+from propcalc.graphs import (GraphTerm, Vertex, Wiring, absorb_equivalences,
+                             horizontal_compose, iso_equal, sources_by_target, unit,
+                             vertical_compose)
 from propcalc.surjections import eliminate_counits, normalize, random_sterm
 from propcalc.terms import parse
 
@@ -87,25 +88,23 @@ def test_phi_rejected_outside_stilde():
 def test_edge_weights_mu_half():
     g = corolla("mu", (Fraction(1, 2),))
     w = to_edge_weights(g)
-    vals = sorted(w.weights.values())
+    vals = sorted(w.values())
     assert vals == [Fraction(1, 2), Fraction(1, 2), Fraction(1)]
 
 
 def test_edge_weights_delta():
     w = to_edge_weights(corolla("delta"))
-    by = {dst: val for (src, dst), val in w.weights.items()}
-    assert by[("out", 0)] == 1 and by[("out", 1)] == 1
-    assert by[("vi", 0, 0)] == 2
+    assert w[("out", 0)] == 1 and w[("out", 1)] == 1
+    assert w[("vi", 0, 0)] == 2
 
 
 def test_edge_weights_bubble():
     g = parse("delta ; mu(1/3)")
     w = to_edge_weights(g)
-    by = {dst: val for (src, dst), val in w.weights.items()}
-    inner = sorted(v for d, v in by.items() if d[0] == "vi" and g.vertices[d[1]].kind == "mu")
+    inner = sorted(v for d, v in w.items() if d[0] == "vi" and g.vertices[d[1]].kind == "mu")
     assert inner == [Fraction(1, 3), Fraction(2, 3)]
-    assert by[("out", 0)] == 1
-    assert all(p == [] for p in [w.check()])
+    assert w[("out", 0)] == 1
+    assert check_edge_weights(g, w) == []
 
 
 def test_edge_weights_conditions_random():
@@ -113,9 +112,9 @@ def test_edge_weights_conditions_random():
     for _ in range(80):
         g = random_sterm(rng, max_vertices=8)
         w = to_edge_weights(g)
-        assert w.check() == []
+        assert check_edge_weights(g, w) == []
         # conservation: total into inputs equals m when no counit interferes
-        total_out = sum(v for (s, d), v in w.weights.items() if d[0] == "out")
+        total_out = sum(v for d, v in w.items() if d[0] == "out")
         assert total_out == g.m
 
 
@@ -126,7 +125,7 @@ def test_from_edge_weights_round_trip():
         w = to_edge_weights(g)
         g2, flagged = from_edge_weights(g, w)
         w2 = to_edge_weights(g2)
-        assert w2.weights == w.weights
+        assert w2 == w
         for v in range(len(g.vertices)):
             if g.vertices[v].kind == "mu" and v not in flagged:
                 assert g2.vertices[v].params == g.vertices[v].params
@@ -137,21 +136,27 @@ def test_from_edge_weights_second_input_share():
     weights = {}
     for src, dst in g.edges:
         if dst == ("vi", 0, 0):
-            weights[(src, dst)] = Fraction(2, 3)
+            weights[dst] = Fraction(2, 3)
         elif dst == ("vi", 0, 1):
-            weights[(src, dst)] = Fraction(1, 3)
+            weights[dst] = Fraction(1, 3)
         else:
-            weights[(src, dst)] = Fraction(1)
-    g2, flagged = from_edge_weights(g, EdgeWeighting(g, weights))
+            weights[dst] = Fraction(1)
+    g2, flagged = from_edge_weights(g, weights)
     assert not flagged
     assert g2.vertices[0].params == (Fraction(1, 3),)
 
 
 def test_from_edge_weights_conservation_violation():
     g = corolla("mu", (Fraction(1, 2),))
-    weights = {e: Fraction(1) for e in g.edges}
+    weights = {dst: Fraction(1) for _, dst in g.edges}
     with pytest.raises(WeightingError):
-        from_edge_weights(g, EdgeWeighting(g, weights))
+        from_edge_weights(g, weights)
+
+
+def test_from_edge_weights_checks_the_graph_it_reads():
+    # a weighting of another graph is refused, not read
+    with pytest.raises(WeightingError, match="has no weight"):
+        from_edge_weights(parse("delta ; mu(1/2)"), to_edge_weights(parse("mu(1/3)")))
 
 
 def test_degenerate_mu_flagged():
@@ -205,7 +210,7 @@ def test_input_side_weight_conservation():
     for _ in range(60):
         g = random_sterm(rng, max_vertices=7)
         w = to_edge_weights(g)
-        total_in = sum(v for (s, d), v in w.weights.items() if s[0] == "in")
+        total_in = sum(w[d] for s, d in g.edges if s[0] == "in")
         # counit edges carry zero, so the inflow equals the number of outputs
         assert total_in == g.m
 
@@ -251,11 +256,31 @@ def test_counits_fed_by_an_input_or_an_id_vertex_are_never_redexes():
                         (unit_vertex, {S: [3], S_TILDE: []})):
         for tag in (S, S_TILDE):
             assert counit_redexes(Wiring.from_term(g), tag) == expected[tag]
-    assert apply_relations_S(unit_vertex, S_TILDE) == unit_vertex
-    assert iso_equal(apply_relations_S(unit_vertex),
-                     GraphTerm(1, 0, (Vertex("id"), Vertex("eps")),
-                               frozenset({(("in", 0), ("vi", 0, 0)),
-                                          (("vo", 0, 0), ("vi", 1, 0))})))
+    # the relations absorb the id vertex first, so both tags reduce to one counit
+    for tag in (S, S_TILDE):
+        assert apply_relations_S(unit_vertex, tag) == corolla("eps")
+
+
+def _splice_ids(g, rng, count):
+    """g with `count` id vertices spliced into drawn edges."""
+    work = Wiring.from_term(g)
+    for _ in range(count):
+        dst = rng.choice(sorted(work.src))
+        src, _ = work.del_edge(dst)
+        v = work.new_vertex("id")
+        work.add_edge(src, ("vi", v, 0))
+        work.add_edge(("vo", v, 0), dst)
+    return work.to_term()
+
+
+def test_relations_absorb_id_vertices_before_rewriting():
+    rng = random.Random(27)
+    for _ in range(200):
+        g = random_sterm(rng, max_vertices=8)
+        spliced = _splice_ids(g, rng, rng.randint(1, 3))
+        assert absorb_equivalences(spliced) == g
+        for tag in (S, S_TILDE):
+            assert apply_relations_S(spliced, tag) == apply_relations_S(g, tag)
 
 
 def test_counit_rewrites_carry_the_edge_labels():

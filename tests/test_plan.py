@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from propcalc.errors import GraphError
-from propcalc.generators import (S, EdgeWeighting, apply_attaching, apply_relations_S,
+from propcalc.generators import (S, apply_attaching, apply_relations_S, check_edge_weights,
                                  to_edge_weights)
 from propcalc.graphs import (GraphTerm, Vertex, Wiring, plan_of, sources_by_target,
                              targets_by_source, topological_order, validate)
@@ -144,10 +144,10 @@ def test_wiring_copies_the_plan_maps():
 
 def test_edge_weighting_check_reads_inflow_and_outflow_per_slot():
     g = parse("delta ; (delta | id) ; (mu(1/3) | eps)")
-    weights = dict(to_edge_weights(g).weights)
-    assert EdgeWeighting(g, weights).check() == []
-    bumped = {e: w + Fraction(1, 5) if e[1][0] == "vi" and e[1][2] == 1 else w
-              for e, w in weights.items()}
-    assert EdgeWeighting(g, bumped).check() == [
+    weights = to_edge_weights(g)
+    assert check_edge_weights(g, weights) == []
+    bumped = {dst: w + Fraction(1, 5) if dst[0] == "vi" and dst[2] == 1 else w
+              for dst, w in weights.items()}
+    assert check_edge_weights(g, bumped) == [
         "vertex 1 (delta): inflow 1 != outflow 6/5",
         "vertex 2 (mu): inflow 6/5 != outflow 1"]

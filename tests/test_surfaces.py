@@ -389,7 +389,7 @@ def _old_to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     if x.m < 1:
         raise GraphError("the surface realization needs at least one output")
     g = expand_graph(x)
-    weights = to_edge_weights(g).weights
+    weights = to_edge_weights(g)
     rg = RibbonGraph()
     for i in range(x.n):
         rg.add_vertex(("in", i), tag=("in", i))
@@ -415,7 +415,7 @@ def _old_to_ribbon(x: WeightedSurjection) -> RibbonGraph:
                            + [("vo", v, k) for k in range(vert.arity[1])])
     slot_half = {}
     for src, dst in sorted(g.edges):
-        e = rg.add_edge(node(src), node(dst), weight=weights[(src, dst)],
+        e = rg.add_edge(node(src), node(dst), weight=weights[dst],
                         kind="strand")
         slot_half[src] = rg.edges[e]["tail"]
         slot_half[dst] = rg.edges[e]["head"]

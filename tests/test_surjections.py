@@ -546,3 +546,93 @@ def test_compose_matches_graph_route_with_capped_blocks_and_larger_cells():
         stacked = normalize(vertical_compose(expand_graph(x), expand_graph(y)))
         assert compose_weighted(x, y) == stacked
     assert capped > 60
+
+
+# --- a weighted surjection is its cell plus weights ----------------------------
+# The prop operations below are the weighted ones before they were built on the
+# type operations, kept verbatim as oracles.
+
+def _old_identity_ws(k: int) -> WeightedSurjection:
+    return WeightedSurjection(k, k, tuple((j,) for j in range(1, k + 1)),
+                              tuple((Fraction(1),) for _ in range(k)))
+
+
+def _old_horizontal_ws(xs) -> WeightedSurjection:
+    xs = list(xs)
+    blocks = []
+    weights = []
+    shift = 0
+    n = m = 0
+    for x in xs:
+        blocks.extend(tuple(f + shift for f in blk) for blk in x.blocks)
+        weights.extend(x.weights)
+        shift += x.m
+        n += x.n
+        m += x.m
+    return WeightedSurjection(n, m, tuple(blocks), tuple(weights))
+
+
+def _old_permute_inputs_ws(x: WeightedSurjection, sigma: Permutation) -> WeightedSurjection:
+    """New input j carries what old input sigma(j) carried."""
+    if sigma.degree != x.n:
+        raise GraphError("permutation degree mismatch")
+    blocks = tuple(x.blocks[sigma(j) - 1] for j in range(1, x.n + 1))
+    weights = tuple(x.weights[sigma(j) - 1] for j in range(1, x.n + 1))
+    return WeightedSurjection(x.n, x.m, blocks, weights)
+
+
+def _old_permute_outputs_ws(x: WeightedSurjection, tau: Permutation) -> WeightedSurjection:
+    if tau.degree != x.m:
+        raise GraphError("permutation degree mismatch")
+    blocks = tuple(tuple(tau(f) for f in blk) for blk in x.blocks)
+    return WeightedSurjection(x.n, x.m, blocks, x.weights)
+
+
+def _exact(x):
+    """A result with its class, so that a type never passes for a point."""
+    return type(x), x
+
+
+def test_the_type_permutations_check_the_permutation_degree():
+    from propcalc import chains
+    from propcalc.surjections import permute_inputs_type, permute_outputs_type
+    assert chains.permute_inputs_type is permute_inputs_type
+    assert chains.permute_outputs_type is permute_outputs_type
+    with pytest.raises(GraphError, match="permutation degree mismatch"):
+        permute_inputs_type(SurjType(2, 1, ((1,), (1,))), Permutation((2, 1, 3)))
+    with pytest.raises(GraphError, match="permutation degree mismatch"):
+        permute_outputs_type(SurjType(1, 2, ((1, 2),)), Permutation((1,)))
+
+
+def test_weighted_surjections_are_their_cells_and_match_the_old_prop_operations():
+    from itertools import permutations
+    from propcalc.surjections import uniform_weights
+    rng = random.Random(45)
+    points = []
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for k in range(4):
+                for t in enumerate_basis(n, m, k):
+                    points += [uniform_weights(t), random_weights(rng, t)]
+    assert len(points) == 2 * 3787
+    perms = {d: [Permutation(p) for p in permutations(range(1, d + 1))] for d in (1, 2, 3)}
+    pool = points + [counit_class(1)]
+    for x in points:
+        t = x.stype
+        assert type(t) is SurjType and isinstance(x, SurjType)
+        assert (x.r, x.degree, x.output_counts()) == (t.r, t.degree, t.output_counts())
+        assert x != t
+        # a drawn permutation of the right degree and one of the wrong degree
+        for sigma in (rng.choice(perms[x.n]), Permutation.identity(x.n + 1)):
+            assert _exact(_outcome(permute_inputs_ws, x, sigma)) == \
+                _exact(_outcome(_old_permute_inputs_ws, x, sigma))
+        for tau in (rng.choice(perms[x.m]), Permutation.identity(x.m + 1)):
+            assert _exact(_outcome(permute_outputs_ws, x, tau)) == \
+                _exact(_outcome(_old_permute_outputs_ws, x, tau))
+        xs = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+        xs.insert(rng.randint(0, len(xs)), x)
+        assert _exact(horizontal_ws(xs)) == _exact(_old_horizontal_ws(xs))
+    assert _exact(horizontal_ws([])) == _exact(_old_horizontal_ws([]))
+    for k in range(7):
+        assert _exact(identity_ws(k)) == _exact(_old_identity_ws(k))
+    assert repr(points[-1]) == repr(_old_permute_outputs_ws(points[-1], Permutation.identity(3)))
