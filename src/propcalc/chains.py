@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from operator import itemgetter
 
-from .complexes import cochain_degree, is_cocycle
+from .complexes import cochain_degree, face_picker, is_cocycle
 from .errors import CompositionError, GraphError, InternalError
 from .graphs import NPARAMS, GraphTerm, Permutation, plan_of
 from .surjections import (SurjType, _strands_by_wire, expand_graph, horizontal_type,
@@ -390,7 +389,7 @@ def cup_i(i: int, a: frozenset, b: frozenset, complex_) -> frozenset:
         return frozenset()
     # every simplex is a sorted tuple of distinct vertices, so the action on
     # it is the action on (0..deg) relabelled through the simplex
-    pattern = [(_picker(f1), _picker(f2))
+    pattern = [(face_picker(f1), face_picker(f2))
                for f1, f2 in act_type(cup_type(i), (tuple(range(deg + 1)),))
                if len(f1) == pa + 1]
     result = set()
@@ -402,14 +401,6 @@ def cup_i(i: int, a: frozenset, b: frozenset, complex_) -> frozenset:
         if count:
             result.add(sigma)
     return frozenset(result)
-
-
-def _picker(positions):
-    """The face of a simplex at these vertex positions, as a function."""
-    if len(positions) == 1:
-        j = positions[0]
-        return lambda sigma: (sigma[j],)
-    return itemgetter(*positions)
 
 
 def steenrod_square(k: int, x: frozenset, complex_) -> frozenset:

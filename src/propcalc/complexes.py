@@ -9,6 +9,7 @@ supports: frozensets of faces of one dimension.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import GraphError
 
@@ -95,15 +96,27 @@ def cochain_degree(cochain) -> int:
     return dims.pop()
 
 
+def face_picker(positions):
+    """The face of a simplex at these vertex positions, as a function."""
+    if len(positions) == 1:
+        j = positions[0]
+        return lambda sigma: (sigma[j],)
+    return itemgetter(*positions)
+
+
 def coboundary(complex_: SimplicialComplex, cochain: frozenset) -> frozenset:
-    """Mod-2 coboundary: count odd incidences with codimension-one faces."""
+    """Mod-2 coboundary: count odd incidences with codimension-one faces,
+    each read through its own `face_picker`."""
     if not cochain:
         return frozenset()
     q = cochain_degree(cochain)
+    facets = [face_picker(tuple(k for k in range(q + 2) if k != j)) for j in range(q + 2)]
     out = set()
     for sigma in complex_.simplices(q + 1):
-        parity = sum(1 for j in range(len(sigma))
-                     if sigma[:j] + sigma[j + 1:] in cochain) % 2
+        parity = 0
+        for facet in facets:
+            if facet(sigma) in cochain:
+                parity ^= 1
         if parity:
             out.add(sigma)
     return frozenset(out)

@@ -16,8 +16,10 @@ Conventions (fixed once, used consistently everywhere):
   on its first output.
 
 A weighting maps each edge's target endpoint, its name in the term's plan,
-to its weight; `check_edge_weights` checks one, and `recover_mu_params` is
-the one place that reads mu parameters back off weighted edges.
+to its weight; `check_edge_weights` checks one.  `edge_labels` is the one
+weight propagation: it gives integer labels over one scale, and
+`to_edge_weights` is their `Fraction` view.  `recover_mu_params` is the one
+place that reads mu parameters back off labelled edges.
 
 The counit relations live here once, as a redex rule (`counit_redexes`)
 and a rewrite (`rewrite_counit`) on a `graphs.Wiring`.  `apply_relations_S`
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GraphError, WeightingError
+from .errors import GraphError, InternalError, WeightingError
 from .graphs import (ARITY, GraphTerm, Vertex, Wiring, absorb_equivalences,
                      horizontal_compose, plan_of, unit, vertical_compose)
 
@@ -123,8 +125,8 @@ def counit_redexes(work: Wiring, tag: str = S) -> list:
     """
     kind, src, tgt = work.kind, work.src, work.tgt
     out = []
-    for v in sorted(kind):
-        if kind[v] != "eps":
+    for v, k in kind.items():
+        if k != "eps":
             continue
         s = src[("vi", v, 0)]
         if s[0] == "in":
@@ -220,43 +222,63 @@ def check_edge_weights(g: GraphTerm, weights) -> list:
     return problems
 
 
-def to_edge_weights(g: GraphTerm) -> dict:
-    """Propagate weight 1 up from each external output.
+def edge_labels(g: GraphTerm):
+    """The weighting of g as integer labels over one scale: (labels, scale).
 
-    A delta input weighs the sum of its outputs; a mu_s vertex with output
-    weight a puts (1-s)a on its first input and s*a on the second; counit
-    edges weigh 0.  Total on acyclic graphs.  Edges are named by their
-    target endpoints, as in the term's plan.
+    Weight 1 is propagated up from each external output as the label
+    `scale`, the product of the mu denominators.  A delta input carries the
+    sum of its outputs; a mu_s vertex with output label a, s = p/q, puts
+    a - pa/q on its first input and pa/q on its second; counit edges carry
+    0.  Every mu's output label is a multiple of its own q, since the
+    denominators below it divide scale/q, so each split is exact.  Edges
+    are named by their target endpoints, as in the term's plan.
     """
     plan = plan_of(g)
     if any(v.kind == "phi" for v in g.vertices):
         raise GraphError("edge weights are defined on the counital presentation only")
 
-    weights = {("out", j): Fraction(1) for j in range(g.m)}
+    scale = 1
+    for vert in g.vertices:
+        if vert.kind == "mu":
+            scale *= vert.params[0].denominator
+    labels = dict.fromkeys((("out", j) for j in range(g.m)), scale)
+    tgt = plan.tgt
     for v in reversed(plan.order):
-        kind = g.vertices[v].kind
+        vert = g.vertices[v]
+        kind = vert.kind
         if kind == "eps":
-            weights[("vi", v, 0)] = Fraction(0)
+            labels[("vi", v, 0)] = 0
         elif kind == "delta":
-            weights[("vi", v, 0)] = (weights[plan.tgt[("vo", v, 0)]]
-                                     + weights[plan.tgt[("vo", v, 1)]])
+            labels[("vi", v, 0)] = labels[tgt[("vo", v, 0)]] + labels[tgt[("vo", v, 1)]]
         elif kind == "mu":
-            s = g.vertices[v].params[0]
-            a = weights[plan.tgt[("vo", v, 0)]]
-            weights[("vi", v, 0)] = (1 - s) * a
-            weights[("vi", v, 1)] = s * a
+            s = vert.params[0]
+            a = labels[tgt[("vo", v, 0)]]
+            second, rest = divmod(a * s.numerator, s.denominator)
+            if rest:
+                raise InternalError("a mu label is not a multiple of its denominator")
+            labels[("vi", v, 0)] = a - second
+            labels[("vi", v, 1)] = second
         else:  # id
-            weights[("vi", v, 0)] = weights[plan.tgt[("vo", v, 0)]]
-    return weights
+            labels[("vi", v, 0)] = labels[tgt[("vo", v, 0)]]
+    return labels, scale
+
+
+def to_edge_weights(g: GraphTerm) -> dict:
+    """The weighting of g, keyed by target endpoint: `edge_labels` over its
+    scale, as Fractions."""
+    labels, scale = edge_labels(g)
+    return {d: Fraction(label, scale) for d, label in labels.items()}
 
 
 def recover_mu_params(work: Wiring) -> frozenset:
     """Set each mu's parameter to its second input's share of its output
     weight, read off the edge labels of `work`.
 
-    Returns the mu vertices whose output weighs 0: their parameter is
-    unrecoverable, so they get s = 0, which is harmless because the
-    relations identify all such parameters anyway.
+    The labels may be weights or integer labels over a common scale; a
+    share does not depend on the scale.  Returns the mu vertices whose
+    output weighs 0: their parameter is unrecoverable, so they get s = 0,
+    which is harmless because the relations identify all such parameters
+    anyway.
     """
     flagged = set()
     for v, kind in work.kind.items():
@@ -264,7 +286,7 @@ def recover_mu_params(work: Wiring) -> frozenset:
             a = work.w[work.tgt[("vo", v, 0)]]
             if not a:
                 flagged.add(v)
-            work.params[v] = (work.w[("vi", v, 1)] / a if a else Fraction(0),)
+            work.params[v] = (Fraction(work.w[("vi", v, 1)], a) if a else Fraction(0),)
     return frozenset(flagged)
 
 

@@ -285,17 +285,25 @@ def vertical_compose(top: GraphTerm, bottom: GraphTerm) -> GraphTerm:
     dv = len(top.vertices)
     top_src = {}   # intermediate wire j -> source endpoint in the composite
     edges = []
-    for src, dst in top.edges:
+    for e in top.edges:
+        dst = e[1]
         if dst[0] == "out":
-            top_src[dst[1]] = src
+            top_src[dst[1]] = e[0]
         else:
+            edges.append(e)
+    if dv:
+        # bottom's vertices come after top's
+        for src, dst in bottom.edges:
+            if dst[0] != "out":
+                dst = (dst[0], dst[1] + dv, dst[2])
+            src = top_src[src[1]] if src[0] == "in" else ("vo", src[1] + dv, src[2])
             edges.append((src, dst))
-    for src, dst in bottom.edges:
-        new_dst = _shift_endpoint(dst, dv, 0, 0) if dst[0] != "out" else dst
-        if src[0] == "in":
-            edges.append((top_src[src[1]], new_dst))
-        else:
-            edges.append((_shift_endpoint(src, dv, 0, 0), new_dst))
+    else:
+        # a top without vertices only routes wires, so bottom's vertex
+        # endpoints keep their numbers
+        for e in bottom.edges:
+            src = e[0]
+            edges.append((top_src[src[1]], e[1]) if src[0] == "in" else e)
     return GraphTerm(top.n, bottom.m, top.vertices + bottom.vertices, frozenset(edges))
 
 
@@ -385,9 +393,11 @@ class Wiring:
     """A graph term opened up for rewriting.
 
     Vertex ids stay stable while vertices come and go; new vertices get
-    fresh ids above every old one.  `src` maps each edge's target endpoint
-    to its source and `tgt` the other way; `w` holds an optional label per
-    edge, keyed by the target endpoint.
+    fresh ids above every old one, so `kind` lists the vertices in id
+    order.  `src` maps each edge's target endpoint to its source and `tgt`
+    the other way; `w` holds an optional label per edge, keyed by the
+    target endpoint.  A label may be a weight, or, in the normalizer's
+    wirings, an integer that stands for itself over the wiring's scale.
     """
 
     def __init__(self, n, m):
@@ -434,16 +444,24 @@ class Wiring:
         del self.kind[v], self.params[v]
 
     def exhaust(self, redexes, rewrite, rng=None, what="rewrite pass"):
-        """Rewrite until `redexes(self)` lists no redex.
+        """Rewrite until `redexes(self)` yields no redex; return the number
+        of rewrites made.
 
-        Each step calls `rewrite(self, r)` on the first listed redex r, or on
-        one drawn by `rng.choice` when an rng is given.
+        Each step calls `rewrite(self, r)` on the first redex r that
+        `redexes` yields, which is all of it that is read, or, when an rng
+        is given, on one drawn by `rng.choice` from the whole list.
         """
-        for _ in range(REWRITE_BUDGET):
-            found = redexes(self)
-            if not found:
-                return
-            rewrite(self, rng.choice(found) if rng else found[0])
+        for steps in range(REWRITE_BUDGET):
+            if rng is None:
+                found = next(iter(redexes(self)), None)
+                if found is None:
+                    return steps
+            else:
+                candidates = list(redexes(self))
+                if not candidates:
+                    return steps
+                found = rng.choice(candidates)
+            rewrite(self, found)
         raise InternalError(f"{what} did not terminate")
 
     def to_term(self) -> GraphTerm:

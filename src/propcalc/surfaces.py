@@ -134,8 +134,8 @@ def to_ribbon(x: WeightedSurjection) -> RibbonGraph:
 
     Boundary circles are loops at the n+m new vertices, placed first in
     each rotation; all other rotations extend the slot order.  The graph
-    is read off the wiring that `expand_graph` exports, whose edge labels
-    are the weights `to_edge_weights` gives the exported term.
+    is read off the wiring that `expand_graph` exports, whose edge weights
+    are the ones `to_edge_weights` gives the exported term.
     """
     if x.m < 1:
         raise GraphError("the surface realization needs at least one output")
@@ -165,7 +165,7 @@ def to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     # for the product; edges are inserted in a traversal that realizes it
     slot_half = {}
     for src, dst in sorted((s, d) for d, s in work.src.items()):
-        e = rg.add_edge(node(src), node(dst), weight=work.w[dst], kind="strand")
+        e = rg.add_edge(node(src), node(dst), weight=work.weight(dst), kind="strand")
         slot_half[src] = rg.edges[e]["tail"]
         slot_half[dst] = rg.edges[e]["head"]
     # rebuild internal rotations in slot order

@@ -19,10 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CompositionError, GraphError, InternalError, WeightingError
-from .generators import (S, apply_attaching, corolla, counit_redexes, recover_mu_params,
-                         rewrite_counit, to_edge_weights)
+# to_edge_weights, the Fraction view of edge_labels, stays readable here as
+# the normalizer's weighting: perfbench's tracer rebinds it in this module
+from .generators import (S, apply_attaching, corolla, counit_redexes, edge_labels,
+                         recover_mu_params, rewrite_counit, to_edge_weights)
 from .graphs import (GraphTerm, Permutation, Wiring, absorb_equivalences,
                      horizontal_compose, permutation_graph, require_valid,
                      unit, vertical_compose)
@@ -319,16 +322,37 @@ def enumerate_basis(n: int, m: int, degree: int):
 # the rewriting engine
 
 class _Work(Wiring):
-    """The normalizer's rewrite passes over a weighted eps/delta/mu wiring."""
+    """The normalizer's rewrite passes over a weighted eps/delta/mu wiring.
+
+    Every edge label is an int, and the edge's weight is that label over
+    the wiring's one `scale`.  The passes add, split and compare labels
+    only; a `Fraction` is built where a weight leaves the wiring.
+    """
+
+    def __init__(self, n, m, scale=1):
+        super().__init__(n, m)
+        self.scale = scale
 
     @classmethod
     def from_graph(cls, g: GraphTerm):
-        """Open g with every edge labelled by `to_edge_weights`."""
-        weights = to_edge_weights(g)
+        """Open g with its `edge_labels`: every edge labelled by an int,
+        over the product of the mu denominators as the scale."""
+        labels, scale = edge_labels(g)
         for vert in g.vertices:
             if vert.kind not in ("eps", "delta", "mu"):
                 raise GraphError(f"normalizer does not accept {vert.kind} vertices")
-        return cls.from_term(g, weights)
+        work = cls.from_term(g, labels)
+        work.scale = scale
+        return work
+
+    def weight(self, d):
+        """The weight of the edge into d."""
+        return Fraction(self.w[d], self.scale)
+
+    def rescale(self, k):
+        """Multiply the scale and every label by the positive int k."""
+        self.scale *= k
+        self.w = {d: label * k for d, label in self.w.items()}
 
     def position_key(self, src_ep):
         """Canonical strand position of an edge source: (input index, branch word).
@@ -362,18 +386,30 @@ class _Work(Wiring):
         return tree, leaves
 
     def leibniz_redexes(self):
-        """Product-above-coproduct redexes whose strand positions are settled."""
-        out = []
-        for u in sorted(self.kind):
-            if self.kind[u] != "mu":
+        """Yield the product-above-coproduct redexes whose strand positions
+        are settled, in product-id order.
+
+        A redex is (u, v, tree, leaves): the product u, the coproduct v
+        below it, u's `_mu_tree` and its leaves as (position key, source,
+        target) triples, read while the wiring is as the scan found it.
+        Lazy: a caller that takes the first redex scans no further.
+        """
+        kind, tgt = self.kind, self.tgt
+        for u, k in kind.items():
+            if k != "mu":
                 continue
-            d = self.tgt[("vo", u, 0)]
-            if d[0] != "vi" or self.kind[d[1]] != "delta":
+            d = tgt[("vo", u, 0)]
+            if d[0] != "vi" or kind[d[1]] != "delta":
                 continue
-            _, leaves = self._mu_tree(u)
-            if all(self.position_key(s) is not None for s, _ in leaves):
-                out.append((u, d[1]))
-        return out
+            tree, leaves = self._mu_tree(u)
+            keyed = []
+            for s, dst in leaves:
+                key = self.position_key(s)
+                if key is None:
+                    break
+                keyed.append((key, s, dst))
+            else:
+                yield (u, d[1], tree, keyed)
 
     def _build_comb(self, side, target, total):
         """Left comb of products joining `side` strands into `target`.
@@ -400,21 +436,18 @@ class _Work(Wiring):
     def rewrite_leibniz(self, redex):
         """Exchange the product tree rooted at u with the coproduct v below it.
 
-        `redex` is a pair (u, v) listed by `leibniz_redexes`.  The tree's
-        strands, taken in canonical position order, partition an interval
-        of width b1 + b2; cutting it at b1 (the coproduct's split) refines
-        the strands into the two output combs, with the straddling strand
-        split by a fresh coproduct.  This is the relation's three weight
-        cases at once, generalized to whole trees so that crossings
-        absorbed by commutativity cannot change the result.
+        `redex` is one that `leibniz_redexes` yielded on the wiring as it
+        is.  The tree's strands, taken in canonical position order,
+        partition an interval of width b1 + b2; cutting it at b1 (the
+        coproduct's split) refines the strands into the two output combs,
+        with the straddling strand split by a fresh coproduct.  This is the
+        relation's three weight cases at once, generalized to whole trees
+        so that crossings absorbed by commutativity cannot change the
+        result.
         """
-        u, v = redex
-        tree, leaves = self._mu_tree(u)
-        entries = sorted(
-            ((self.position_key(s), s, self.w[d]) for s, d in leaves),
-            key=lambda e: e[0])
-        if any(key is None for key, _, _ in entries):
-            raise InternalError("Leibniz redex with unsettled strand positions")
+        u, v, tree, leaves = redex
+        # distinct strands have distinct position keys
+        entries = [(s, self.w[d]) for _, s, d in sorted(leaves)]
         t1 = self.tgt[("vo", v, 0)]
         t2 = self.tgt[("vo", v, 1)]
         b1 = self.w[t1]
@@ -432,8 +465,8 @@ class _Work(Wiring):
 
         side1 = []
         side2 = []
-        cum = Fraction(0)
-        for _, s, w in entries:
+        cum = 0
+        for s, w in entries:
             if cum < b1 < cum + w:
                 d = self.new_vertex("delta")
                 self.add_edge(s, ("vi", d, 0), w)
@@ -449,22 +482,25 @@ class _Work(Wiring):
             s, w = side2[0]
             d = self.new_vertex("delta")
             self.add_edge(s, ("vi", d, 0), w)
-            side1 = [(("vo", d, 0), Fraction(0))]
+            side1 = [(("vo", d, 0), 0)]
             side2[0] = (("vo", d, 1), w)
         if not side2:
             s, w = side1[-1]
             d = self.new_vertex("delta")
             self.add_edge(s, ("vi", d, 0), w)
-            side2 = [(("vo", d, 1), Fraction(0))]
+            side2 = [(("vo", d, 1), 0)]
             side1[-1] = (("vo", d, 0), w)
         self._build_comb(side1, t1, b1)
         self._build_comb(side2, t2, b2)
 
     def pass_counits(self, rng=None):
-        self.exhaust(counit_redexes, rewrite_counit, rng, "counit elimination")
+        """Eliminate internal counits; return the number of rewrites."""
+        return self.exhaust(counit_redexes, rewrite_counit, rng, "counit elimination")
 
     def pass_leibniz(self, rng=None):
-        self.exhaust(_Work.leibniz_redexes, _Work.rewrite_leibniz, rng, "Leibniz push")
+        """Push products below coproducts; return the number of rewrites."""
+        return self.exhaust(_Work.leibniz_redexes, _Work.rewrite_leibniz, rng,
+                            "Leibniz push")
 
     def to_graph(self) -> GraphTerm:
         """Export with mu parameters recovered from the local weights."""
@@ -475,11 +511,18 @@ class _Work(Wiring):
         """Read the canonical data off a fully rewritten graph."""
 
         def delta_leaves(src_ep):
-            d = self.tgt[src_ep]
-            if d[0] == "vi" and self.kind[d[1]] == "delta":
-                v = d[1]
-                return delta_leaves(("vo", v, 0)) + delta_leaves(("vo", v, 1))
-            return [d]
+            """The targets below the coproduct tree under src_ep, left to
+            right; a loop, since a recursive closure would keep the wiring
+            alive in a reference cycle after the call."""
+            leaves = []
+            stack = [src_ep]
+            while stack:
+                d = self.tgt[stack.pop()]
+                if d[0] == "vi" and self.kind[d[1]] == "delta":
+                    stack += [("vo", d[1], 1), ("vo", d[1], 0)]
+                else:
+                    leaves.append(d)
+            return leaves
 
         def output_of(dst_ep):
             while dst_ep[0] != "out":
@@ -490,18 +533,21 @@ class _Work(Wiring):
             return dst_ep[1] + 1
 
         blocks = []
-        weights = []
+        labels = []
         for i in range(self.n):
             first = self.tgt[("in", i)]
             if first[0] == "vi" and self.kind[first[1]] == "eps":
                 blocks.append(())
-                weights.append(())
+                labels.append(())
                 continue
             leaves = delta_leaves(("in", i))
             blocks.append(tuple(output_of(d) for d in leaves))
-            weights.append(tuple(self.w[d] for d in leaves))
-        blocks, weights = _canonical_parts(blocks, weights)
-        return WeightedSurjection(self.n, self.m, blocks, weights)
+            labels.append(tuple(self.w[d] for d in leaves))
+        blocks, labels = _canonical_parts(blocks, labels)
+        scale = self.scale
+        return WeightedSurjection(
+            self.n, self.m, blocks,
+            tuple(tuple(Fraction(label, scale) for label in ls) for ls in labels))
 
 
 def _prepare(g: GraphTerm) -> _Work:
@@ -570,12 +616,14 @@ def expand_graph(x: WeightedSurjection) -> GraphTerm:
 
 
 def _expand_work(x: WeightedSurjection) -> _Work:
-    """The wiring of `expand_graph(x)`, every edge labelled by its weight.
+    """The wiring of `expand_graph(x)`, every edge labelled by its weight
+    over the common denominator of x's weights as the scale.
 
     Vertices are only added, so their ids are already 0..k-1, the numbering
     of the exported term.
     """
-    work = _Work(x.n, x.m)
+    scale = lcm(*(w.denominator for ws in x.weights for w in ws))
+    work = _Work(x.n, x.m, scale)
     # coproduct combs produce the strand source endpoints per block
     strand_src = {}  # global position -> source endpoint
     strand_w = {}
@@ -583,8 +631,9 @@ def _expand_work(x: WeightedSurjection) -> _Work:
     for i, (blk, ws) in enumerate(zip(x.blocks, x.weights)):
         if not blk:
             e = work.new_vertex("eps")
-            work.add_edge(("in", i), ("vi", e, 0), Fraction(0))
+            work.add_edge(("in", i), ("vi", e, 0), 0)
             continue
+        ws = [w.numerator * (scale // w.denominator) for w in ws]
         r = len(blk)
         if r == 1:
             strand_src[pos] = ("in", i)
@@ -593,7 +642,7 @@ def _expand_work(x: WeightedSurjection) -> _Work:
             continue
         # chain of r-1 deltas; deepest delta splits strands 1 and 2
         deltas = [work.new_vertex("delta") for _ in range(r - 1)]
-        prefix = sum(ws, Fraction(0))
+        prefix = sum(ws)
         work.add_edge(("in", i), ("vi", deltas[-1], 0), prefix)
         for t in range(r - 1, 0, -1):
             d = deltas[t - 1]
@@ -614,7 +663,7 @@ def _expand_work(x: WeightedSurjection) -> _Work:
         by_output.setdefault(f, []).append(p)
     for j in range(1, x.m + 1):
         work._build_comb([(strand_src[p], strand_w[p]) for p in by_output[j]],
-                         ("out", j - 1), Fraction(1))
+                         ("out", j - 1), scale)
     return work
 
 
@@ -708,9 +757,15 @@ def shuffle_relations(g: GraphTerm, rng, moves=6) -> GraphTerm:
             d = work.new_vertex("delta")
             mu = work.new_vertex("mu")
             t = random_interior(rng)
+            # rescale so that the mu splits the label a exactly
+            k = t.denominator // gcd(a, t.denominator)
+            if k > 1:
+                work.rescale(k)
+                a *= k
+            second = a // t.denominator * t.numerator
             work.add_edge(s, ("vi", d, 0), a)
-            work.add_edge(("vo", d, 0), ("vi", mu, 0), (1 - t) * a)
-            work.add_edge(("vo", d, 1), ("vi", mu, 1), t * a)
+            work.add_edge(("vo", d, 0), ("vi", mu, 0), a - second)
+            work.add_edge(("vo", d, 1), ("vi", mu, 1), second)
             work.add_edge(("vo", mu, 0), dst, a)
         elif move in ("counit-left", "counit-right"):
             candidates = sorted(work.src)
@@ -722,10 +777,10 @@ def shuffle_relations(g: GraphTerm, rng, moves=6) -> GraphTerm:
             e = work.new_vertex("eps")
             work.add_edge(s, ("vi", d, 0), a)
             if move == "counit-left":
-                work.add_edge(("vo", d, 0), ("vi", e, 0), Fraction(0))
+                work.add_edge(("vo", d, 0), ("vi", e, 0), 0)
                 work.add_edge(("vo", d, 1), dst, a)
             else:
-                work.add_edge(("vo", d, 1), ("vi", e, 0), Fraction(0))
+                work.add_edge(("vo", d, 1), ("vi", e, 0), 0)
                 work.add_edge(("vo", d, 0), dst, a)
         elif move == "commute":
             mus = sorted(v for v, k in work.kind.items() if k == "mu")
@@ -737,7 +792,7 @@ def shuffle_relations(g: GraphTerm, rng, moves=6) -> GraphTerm:
             work.add_edge(s2, ("vi", u, 0), w2)
             work.add_edge(s1, ("vi", u, 1), w1)
         else:
-            redexes = work.leibniz_redexes()
+            redexes = list(work.leibniz_redexes())
             if not redexes:
                 continue
             work.rewrite_leibniz(rng.choice(redexes))

@@ -1,12 +1,12 @@
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from propcalc.chains import cup_i, steenrod_square
 from propcalc.complexes import (RP2_FACES, SimplicialComplex, circle, coboundary,
-                                cochain_from_text, cochain_to_text,
+                                cochain_degree, cochain_from_text, cochain_to_text,
                                 cocycle_basis, cohomology_dim, is_coboundary,
                                 is_cocycle, representative_cocycle, rp2)
 from propcalc.errors import GraphError
@@ -271,3 +271,52 @@ def test_is_coboundary_matches_brute_force_enumeration(make):
 def test_the_zero_cochain_has_a_text_that_reads_back_as_zero():
     assert cochain_to_text(frozenset()) == "# zero cochain"
     assert cochain_from_text(cochain_to_text(frozenset())) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the coboundary that sliced out each facet
+
+def _old_coboundary(complex_, cochain):
+    if not cochain:
+        return frozenset()
+    q = cochain_degree(cochain)
+    out = set()
+    for sigma in complex_.simplices(q + 1):
+        parity = sum(1 for j in range(len(sigma))
+                     if sigma[:j] + sigma[j + 1:] in cochain) % 2
+        if parity:
+            out.add(sigma)
+    return frozenset(out)
+
+
+def _subdivide(K):
+    """Barycentric subdivision: the flags of K's top faces, each old face
+    numbered by its place in (dimension, vertices) order."""
+    faces = sorted((s for k in range(K.dim + 1) for s in K.simplices(k)),
+                   key=lambda s: (len(s), s))
+    label = {s: i for i, s in enumerate(faces)}
+    flags = set()
+    for top in K.simplices(K.dim):
+        for order in permutations(top):
+            flags.add(tuple(label[tuple(sorted(order[:j]))] for j in range(1, len(order) + 1)))
+    return SimplicialComplex(sorted(flags))
+
+
+@pytest.mark.parametrize("make", [
+    rp2, lambda: circle(4), lambda: SimplicialComplex.standard_simplex(5),
+    lambda: _subdivide(rp2())], ids=["rp2", "circle4", "simplex5", "sd-rp2"])
+def test_coboundary_matches_the_facet_slicing_oracle(make):
+    K = make()
+    rng = random.Random(62)
+    nonzero = 0
+    for q in range(K.dim + 1):
+        faces = K.simplices(q)
+        for _ in range(40):
+            density = rng.random()
+            c = frozenset(f for f in faces if rng.random() < density)
+            if c and rng.random() < 0.2:  # a face the complex does not have
+                c |= {tuple(range(1000, 1001 + q))}
+            d = coboundary(K, c)
+            assert d == _old_coboundary(K, c)
+            nonzero += bool(d)
+    assert nonzero >= 15

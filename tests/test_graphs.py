@@ -280,6 +280,26 @@ def test_exhaust_stops_when_no_redex_is_left():
     assert drawn == [expected.choice([0, 1, 2, 3]) for _ in range(20)]
 
 
+def test_exhaust_reads_only_the_first_redex_and_counts_the_rewrites():
+    work = Wiring(1, 1)
+    work.add_edge(("in", 0), ("out", 0))
+    read = []
+    steps = []
+
+    def redexes(w):
+        for r in range(len(steps), 10):
+            read.append(r)
+            yield r
+
+    assert work.exhaust(redexes, lambda w, r: steps.append(r)) == 10
+    assert steps == read == list(range(10))  # nothing read past the first
+    steps.clear()
+    drawn = random.Random(3)
+    assert work.exhaust(redexes, lambda w, r: steps.append(r), rng=random.Random(3)) == 10
+    assert steps == [drawn.choice(range(k, 10)) for k in range(10)]
+    assert work.exhaust(lambda w: iter(()), lambda w, r: None) == 0
+
+
 def test_exhaust_names_a_pass_that_does_not_terminate():
     work = Wiring(0, 0)
     with pytest.raises(InternalError, match="^spinning pass did not terminate$"):
