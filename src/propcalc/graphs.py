@@ -285,25 +285,17 @@ def vertical_compose(top: GraphTerm, bottom: GraphTerm) -> GraphTerm:
     dv = len(top.vertices)
     top_src = {}   # intermediate wire j -> source endpoint in the composite
     edges = []
-    for e in top.edges:
-        dst = e[1]
+    for src, dst in top.edges:
         if dst[0] == "out":
-            top_src[dst[1]] = e[0]
+            top_src[dst[1]] = src
         else:
-            edges.append(e)
-    if dv:
-        # bottom's vertices come after top's
-        for src, dst in bottom.edges:
-            if dst[0] != "out":
-                dst = (dst[0], dst[1] + dv, dst[2])
-            src = top_src[src[1]] if src[0] == "in" else ("vo", src[1] + dv, src[2])
             edges.append((src, dst))
-    else:
-        # a top without vertices only routes wires, so bottom's vertex
-        # endpoints keep their numbers
-        for e in bottom.edges:
-            src = e[0]
-            edges.append((top_src[src[1]], e[1]) if src[0] == "in" else e)
+    for src, dst in bottom.edges:
+        new_dst = _shift_endpoint(dst, dv, 0, 0) if dst[0] != "out" else dst
+        if src[0] == "in":
+            edges.append((top_src[src[1]], new_dst))
+        else:
+            edges.append((_shift_endpoint(src, dv, 0, 0), new_dst))
     return GraphTerm(top.n, bottom.m, top.vertices + bottom.vertices, frozenset(edges))
 
 

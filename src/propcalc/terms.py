@@ -15,8 +15,7 @@ one reads them (pre- versus post-composition).  "h" is the counit homotopy.
 
 Atoms parse to light descriptors (a permutation image, a `Vertex`, or the
 graph term of a parenthesized term), and each layer is built as one graph
-term in one left-to-right pass that reads the atoms without arguments
-straight off the token list.  A through-strand edge (("in", i),
+term in one left-to-right pass.  A through-strand edge (("in", i),
 ("out", j)) is built once per parse, in a table the parser owns, and
 shared by every layer that wires input i to output j.  The layers of a
 term are checked for arity as they are read and then joined pairwise by
@@ -36,10 +35,9 @@ from .graphs import GraphTerm, Permutation, Vertex, _shift_endpoint, vertical_co
 # group 1 is a token; a character that starts none matches with group 1 empty
 _TOKEN = re.compile(r"\s*(?:(mu|h|id|eps|delta|swap|sigma|tau|\d+|[();|\[\],/])|\S)")
 
-# atoms without arguments besides "id", which `par` reads as one strand; a
-# tuple is a permutation image, read as the vertex-free layer wiring input j
-# to output image[j-1]
-_FIXED_ATOMS = {"swap": (2, 1), "eps": Vertex("eps"), "delta": Vertex("delta")}
+# atoms without arguments; a tuple is a permutation image, read as the
+# vertex-free layer wiring input j to output image[j-1]
+_FIXED_ATOMS = {"id": (1,), "swap": (2, 1), "eps": Vertex("eps"), "delta": Vertex("delta")}
 _PARAM_KINDS = {"mu": "mu", "h": "phi"}
 
 
@@ -112,9 +110,11 @@ class _Parser:
         return items
 
     def atom(self):
-        """An atom with arguments: a parametrized Vertex, a permutation
-        image, or the GraphTerm of "( term )"."""
+        """A permutation image, a Vertex, or the GraphTerm of "( term )"."""
         tok = self.take()
+        fixed = _FIXED_ATOMS.get(tok)
+        if fixed is not None:
+            return fixed
         if tok in _PARAM_KINDS:
             self.take("(")
             s = self.rational()
@@ -129,58 +129,40 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
     def par(self):
-        """One layer, built left to right as a single graph term.
-
-        The fixed atoms are read straight off the token list, and `atom`
-        reads the others.  A parenthesized term alone is the layer itself.
-        """
-        tokens = self.tokens
-        strands = self.strands
+        """One layer, built left to right as a single graph term."""
+        atoms = [self.atom()]
+        while self.tokens[self.i] == "|":
+            self.i += 1
+            atoms.append(self.atom())
+        if len(atoms) == 1 and isinstance(atoms[0], GraphTerm):
+            return atoms[0]
         vertices = []
         edges = []
         n = m = 0
-        i = self.i
-        while True:
-            tok = tokens[i]
-            if tok == "id":
-                i += 1
-                edges.append(strands[n, m])
-                n += 1
-                m += 1
+        strands = self.strands
+        for a in atoms:
+            if isinstance(a, tuple):
+                if len(a) == 1:
+                    edges.append(strands[n, m])
+                else:
+                    edges += [strands[n + i, m + j - 1] for i, j in enumerate(a)]
+                n += len(a)
+                m += len(a)
+            elif isinstance(a, Vertex):
+                dv = len(vertices)
+                k_in, k_out = a.arity
+                edges += [(("in", n + k), ("vi", dv, k)) for k in range(k_in)]
+                edges += [(("vo", dv, k), ("out", m + k)) for k in range(k_out)]
+                vertices.append(a)
+                n += k_in
+                m += k_out
             else:
-                a = _FIXED_ATOMS.get(tok)
-                if a is None:
-                    self.i = i
-                    a = self.atom()
-                    i = self.i
-                    # every atom has an input edge, so no edges means a is first
-                    if not edges and isinstance(a, GraphTerm) and tokens[i] != "|":
-                        return a
-                else:
-                    i += 1
-                if isinstance(a, tuple):
-                    edges += [strands[n + k, m + j - 1] for k, j in enumerate(a)]
-                    n += len(a)
-                    m += len(a)
-                elif isinstance(a, Vertex):
-                    dv = len(vertices)
-                    k_in, k_out = a.arity
-                    edges += [(("in", n + k), ("vi", dv, k)) for k in range(k_in)]
-                    edges += [(("vo", dv, k), ("out", m + k)) for k in range(k_out)]
-                    vertices.append(a)
-                    n += k_in
-                    m += k_out
-                else:
-                    dv = len(vertices)
-                    edges += [(_shift_endpoint(src, dv, n, m), _shift_endpoint(dst, dv, n, m))
-                              for src, dst in a.edges]
-                    vertices += a.vertices
-                    n += a.n
-                    m += a.m
-            if tokens[i] != "|":
-                break
-            i += 1
-        self.i = i
+                dv = len(vertices)
+                edges += [(_shift_endpoint(src, dv, n, m), _shift_endpoint(dst, dv, n, m))
+                          for src, dst in a.edges]
+                vertices += a.vertices
+                n += a.n
+                m += a.m
         return GraphTerm(n, m, tuple(vertices), frozenset(edges))
 
     def term(self):

@@ -3,15 +3,13 @@ import pathlib
 import random
 import re
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
 from propcalc.errors import CompositionError, GraphError, ParseError
 from propcalc.generators import corolla
-from propcalc.graphs import (GraphTerm, Permutation, Vertex, _shift_endpoint,
-                             horizontal_compose, iso_equal, permutation_graph, unit,
-                             vertical_compose)
+from propcalc.graphs import (GraphTerm, horizontal_compose, iso_equal, permutation_graph,
+                             unit, vertical_compose)
 from propcalc.terms import parse
 
 
@@ -209,197 +207,6 @@ def old_parse(text):
     return t
 
 
-# ---------------------------------------------------------------------------
-# oracle: the layer-by-layer parser that reads every atom through `atom`,
-# with the `vertical_compose` it joined its layers with
-
-def _layered_vertical_compose(top: GraphTerm, bottom: GraphTerm) -> GraphTerm:
-    """Feed the i-th output of `top` into the i-th input of `bottom`."""
-    if top.m != bottom.n:
-        raise CompositionError(
-            f"cannot compose ({top.n},{top.m}) above ({bottom.n},{bottom.m})")
-    dv = len(top.vertices)
-    top_src = {}   # intermediate wire j -> source endpoint in the composite
-    edges = []
-    for src, dst in top.edges:
-        if dst[0] == "out":
-            top_src[dst[1]] = src
-        else:
-            edges.append((src, dst))
-    for src, dst in bottom.edges:
-        new_dst = _shift_endpoint(dst, dv, 0, 0) if dst[0] != "out" else dst
-        if src[0] == "in":
-            edges.append((top_src[src[1]], new_dst))
-        else:
-            edges.append((_shift_endpoint(src, dv, 0, 0), new_dst))
-    return GraphTerm(top.n, bottom.m, top.vertices + bottom.vertices, frozenset(edges))
-
-
-# group 1 is a token; a character that starts none matches with group 1 empty
-_LAYERED_TOKEN = re.compile(r"\s*(?:(mu|h|id|eps|delta|swap|sigma|tau|\d+|[();|\[\],/])|\S)")
-
-# atoms without arguments; a tuple is a permutation image, read as the
-# vertex-free layer wiring input j to output image[j-1]
-_LAYERED_FIXED_ATOMS = {"id": (1,), "swap": (2, 1), "eps": Vertex("eps"), "delta": Vertex("delta")}
-_LAYERED_PARAM_KINDS = {"mu": "mu", "h": "phi"}
-
-
-class _LayeredStrands(dict):
-    """The through-strand edges (("in", i), ("out", j)) of one parse, keyed
-    by (i, j); each is built the first time a layer asks for it and then
-    shared by every layer that wires i to j."""
-
-    def __missing__(self, key):
-        edge = self[key] = (("in", key[0]), ("out", key[1]))
-        return edge
-
-
-class _LayeredParser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _LAYERED_TOKEN.findall(text)
-        if "" in self.tokens:
-            pos = self.position(self.tokens.index(""))
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        self.tokens.append(None)  # end of input
-        self.i = 0
-        self.strands = _LayeredStrands()
-
-    def position(self, k):
-        """Where the k-th token starts in the text."""
-        m = next(islice(_LAYERED_TOKEN.finditer(self.text), k, None))
-        tok = m.group(1)
-        return m.end() - (len(tok) if tok else 1)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, expected=None):
-        tok = self.tokens[self.i]
-        if tok is None:
-            raise ParseError(f"unexpected end of term {self.text!r}")
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r} at position {self.position(self.i)}, "
-                             f"got {tok!r}")
-        self.i += 1
-        return tok
-
-    def integer(self, what="an integer"):
-        tok = self.take()
-        if not tok.isdigit():
-            raise ParseError(f"expected {what}, got {tok!r}")
-        try:
-            return int(tok)
-        except ValueError:  # longer than the interpreter converts
-            raise ParseError(f"integer of {len(tok)} digits is too long") from None
-
-    def rational(self):
-        num = self.integer("a rational")
-        if self.peek() == "/":
-            self.take("/")
-            den = self.integer("a denominator")
-            if den == 0:
-                raise ParseError("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def int_list(self):
-        self.take("[")
-        items = [self.integer()]
-        while self.peek() == ",":
-            self.take(",")
-            items.append(self.integer())
-        self.take("]")
-        return items
-
-    def atom(self):
-        """A permutation image, a Vertex, or the GraphTerm of "( term )"."""
-        tok = self.take()
-        fixed = _LAYERED_FIXED_ATOMS.get(tok)
-        if fixed is not None:
-            return fixed
-        if tok in _LAYERED_PARAM_KINDS:
-            self.take("(")
-            s = self.rational()
-            self.take(")")
-            return Vertex(_LAYERED_PARAM_KINDS[tok], (s,))
-        if tok in ("sigma", "tau"):
-            return Permutation(tuple(self.int_list())).image
-        if tok == "(":
-            t = self.term()
-            self.take(")")
-            return t
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def par(self):
-        """One layer, built left to right as a single graph term."""
-        atoms = [self.atom()]
-        while self.tokens[self.i] == "|":
-            self.i += 1
-            atoms.append(self.atom())
-        if len(atoms) == 1 and isinstance(atoms[0], GraphTerm):
-            return atoms[0]
-        vertices = []
-        edges = []
-        n = m = 0
-        strands = self.strands
-        for a in atoms:
-            if isinstance(a, tuple):
-                if len(a) == 1:
-                    edges.append(strands[n, m])
-                else:
-                    edges += [strands[n + i, m + j - 1] for i, j in enumerate(a)]
-                n += len(a)
-                m += len(a)
-            elif isinstance(a, Vertex):
-                dv = len(vertices)
-                k_in, k_out = a.arity
-                edges += [(("in", n + k), ("vi", dv, k)) for k in range(k_in)]
-                edges += [(("vo", dv, k), ("out", m + k)) for k in range(k_out)]
-                vertices.append(a)
-                n += k_in
-                m += k_out
-            else:
-                dv = len(vertices)
-                edges += [(_shift_endpoint(src, dv, n, m), _shift_endpoint(dst, dv, n, m))
-                          for src, dst in a.edges]
-                vertices += a.vertices
-                n += a.n
-                m += a.m
-        return GraphTerm(n, m, tuple(vertices), frozenset(edges))
-
-    def term(self):
-        """Layers checked for arity as they are read, then joined pairwise."""
-        layers = [self.par()]
-        while self.tokens[self.i] == ";":
-            self.i += 1
-            below = self.par()
-            if layers[-1].m != below.n:
-                raise CompositionError(f"cannot compose ({layers[0].n},{layers[-1].m}) "
-                                       f"above ({below.n},{below.m})")
-            layers.append(below)
-        while len(layers) > 1:
-            joined = [_layered_vertical_compose(layers[k], layers[k + 1])
-                      for k in range(0, len(layers) - 1, 2)]
-            if len(layers) % 2:
-                joined.append(layers[-1])
-            layers = joined
-        return layers[0]
-
-
-def layered_parse(text: str) -> GraphTerm:
-    """Parse a term of the shared term language into a graph term."""
-    p = _LayeredParser(text)
-    try:
-        t = p.term()
-    except RecursionError:
-        raise ParseError("term nested too deeply") from None
-    tok = p.tokens[p.i]
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r} at position {p.position(p.i)}")
-    return t
-
-
 def _outcome(parser, text):
     """The parsed term, or the type of the error (and the text of a
     CompositionError, whose wording is kept)."""
@@ -413,7 +220,7 @@ def _outcome(parser, text):
 
 def _assert_same_as_oracle(text):
     new = _outcome(parse, text)
-    assert new == _outcome(layered_parse, text) == _outcome(old_parse, text), text
+    assert new == _outcome(old_parse, text), text
     return isinstance(new, GraphTerm)
 
 
@@ -595,21 +402,3 @@ def test_parse_matches_the_oracle_on_long_terms():
     assert parsed >= 60 and nested >= 60
     assert min(layer_counts) >= 100 and max(layer_counts) <= 300
     assert max(layer_counts) >= 250
-
-
-def test_vertical_compose_matches_the_oracle_with_and_without_top_vertices():
-    rng = random.Random(44)
-    vertex_free = 0
-    for _ in range(300):
-        top_text, width = _random_term(rng, rng.randint(1, 4), depth=1)
-        if width == 0:
-            continue
-        top = parse(top_text)
-        if rng.random() < 0.4:
-            image = list(range(1, width + 1))
-            rng.shuffle(image)
-            top = permutation_graph(tuple(image))
-        bottom = parse(_random_term(rng, width, depth=1)[0])
-        vertex_free += not top.vertices
-        assert vertical_compose(top, bottom) == _layered_vertical_compose(top, bottom)
-    assert vertex_free >= 80
