@@ -337,6 +337,7 @@ def act_type(t: SurjType, faces) -> frozenset:
         place(0, 0)
     else:
         found.add(tuple(masks))
+    place = None  # the closure refers to itself: break the cycle
     pairs = tuple(zip(labels, bit.values()))
     spans = {mask: tuple(v for v, b in pairs if mask & b)
              for mask in {mask for key in found for mask in key}}

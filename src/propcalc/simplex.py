@@ -16,10 +16,13 @@ one map of [0,1]: a diagonal or homotopy composes into the map, a product
 of two wires on the same base folds the two maps into one, and a product
 of two different bases becomes a new mix.  Output j is then
 x -> (f_j(x_1), ..., f_j(x_d)) on its base, and every map is stored as
-its interior knots and one exact (slope, intercept) pair per segment.
-Evaluating is one bisection and at most one a*x + b per coordinate for
-each mix side and each output; a float coordinate is mapped exactly at
-its binary value and rounded once, so it never leaves [0,1] by rounding.
+its interior knots and one exact (slope, intercept) pair per segment,
+and again with the knots scaled by the lcm D of their denominators to
+integers.  Evaluating is one bisection of floor(x*D) among the integer
+knots, which picks the same segment as x among the exact ones, and at
+most one exact a*x + b per coordinate for each mix side and each output;
+a float coordinate is mapped exactly at its binary value and rounded
+once, so it never leaves [0,1] by rounding.
 `interpret` runs a term generator by generator and is the reference the
 program is tested against.
 """
@@ -31,6 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import add, le, or_
 from typing import NamedTuple
 
@@ -44,8 +48,25 @@ class SimplexPoint:
     coords: tuple
 
     def __post_init__(self):
-        # 0 <= x_1 <= ... <= x_d <= 1 in d+1 comparisons; the loop below
-        # names the first bad coordinate
+        # 0 <= x_1 <= ... <= x_d <= 1, for Fraction coordinates as integer
+        # cross products n*pd >= pn*d; any other type, and any failure, goes
+        # on to the generic check
+        pn, pd = 0, 1
+        for x in self.coords:
+            if type(x) is not Fraction:
+                break
+            n, d = x._numerator, x._denominator
+            if n * pd < pn * d:
+                break
+            pn, pd = n, d
+        else:
+            if pn <= pd:
+                return
+        for x in self.coords:
+            if not isinstance(x, (int, Fraction, float)):
+                raise GraphError(f"coordinate {x!r} is not an int, a Fraction or a float")
+        # the generic check in d+1 comparisons; the loop below names the
+        # first bad coordinate
         if all(map(le, chain((0,), self.coords), chain(self.coords, (1,)))):
             return
         prev = 0
@@ -104,8 +125,8 @@ def parse_point(text: str) -> SimplexPoint:
 
 
 def random_point(rng, d, denom=64) -> SimplexPoint:
-    return SimplexPoint(tuple(sorted(Fraction(rng.randint(0, denom), denom)
-                                     for _ in range(d))))
+    ints = sorted(rng.randint(0, denom) for _ in range(d))
+    return SimplexPoint(tuple(Fraction(k, denom) for k in ints))
 
 
 # interval-level formulas
@@ -166,8 +187,8 @@ def eval_term(g: GraphTerm, points, d=None):
     """
     plan = plan_of(g)
     points = _inputs(g, points, d)
-    joins, mixes, outputs = g._maps if g._maps is not None else _compile(g, plan)
-    for i, j in joins:
+    program = g._maps if g._maps is not None else _compile(g, plan)
+    for i, j in program.joins:
         if points[i].d != points[j].d:
             raise GraphError("product needs points of equal dimension")
     values, floats = [], []  # per base: exact coordinates, and which were floats
@@ -180,12 +201,12 @@ def eval_term(g: GraphTerm, points, d=None):
         else:
             values.append(p.coords)
             floats.append(None)
-    for (a, f), (b, h) in mixes:
+    for (a, f), (b, h) in program.int_mixes:
         values.append(tuple(map(add, _apply(f, values[a]), _apply(h, values[b]))))
         fa, fb = floats[a], floats[b]
         floats.append(fb if fa is None else fa if fb is None else tuple(map(or_, fa, fb)))
     outs = []
-    for base, f in outputs:
+    for base, f in program.int_outputs:
         coords = _apply(f, values[base])
         if floats[base] is not None:
             coords = [float(y) if r else y for y, r in zip(coords, floats[base])]
@@ -214,7 +235,9 @@ def interpret(g: GraphTerm, points, d=None):
 # A map is (knots, segments): the interior knots 0 < t_1 < ... < t_k < 1
 # and k+1 pairs (a, b), the map being a*x + b on [t_i, t_{i+1}] with
 # t_0 = 0 and t_{k+1} = 1.  Adjacent segments always differ, so the knots
-# are exactly the breaks.
+# are exactly the breaks.  Its integer form (D, K, segments) has D the lcm
+# of the knots' denominators and K the integers t_i*D: x lies in segment
+# #{K_i <= floor(x*D)}, which `_apply` finds by bisection on ints.
 
 
 class Program(NamedTuple):
@@ -224,17 +247,22 @@ class Program(NamedTuple):
     mix is ((a, f), (b, h)), the sum f(x_a) + h(x_b) coordinate by
     coordinate, with the product's weights s and 1-s folded into f and h.
     `joins` are the input pairs that some product, live or capped, puts
-    side by side: their points must have equal dimension.
+    side by side: their points must have equal dimension.  `int_mixes`
+    and `int_outputs` are `mixes` and `outputs` with each map in integer
+    form, and are what evaluation runs.
     """
     joins: tuple    # (i, j) with i < j
     mixes: tuple    # ((a, f), (b, h)), each reading only earlier bases
     outputs: tuple  # (base, map) per output
+    int_mixes: tuple
+    int_outputs: tuple
 
 
 _HALF = Fraction(1, 2)
 _IDENTITY = ((), ((Fraction(1), Fraction(0)),))
 _FRONT = ((_HALF,), ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1))))
 _BACK = ((_HALF,), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+_INT_IDENTITY = (1, (), _IDENTITY[1])
 
 
 def _generator_maps(kind, s):
@@ -314,14 +342,24 @@ def _scaled(c, f):
     return _compose_maps(((), ((c, Fraction(0)),)), f)
 
 
-def _apply(f, xs):
-    """The map f at each exact coordinate of xs."""
+def _integer_form(f):
+    """The map f as (D, K, segments), its knots scaled to the integers K."""
     if f is _IDENTITY:
-        return xs
+        return _INT_IDENTITY
     knots, segments = f
+    scale = lcm(*(t.denominator for t in knots))
+    return scale, tuple(t.numerator * (scale // t.denominator) for t in knots), segments
+
+
+def _apply(f, xs):
+    """The map f, in integer form, at each exact coordinate of xs."""
+    if f is _INT_IDENTITY:
+        return xs
+    scale, knots, segments = f
     out = []
     for x in xs:
-        a, b = segments[bisect_right(knots, x)]
+        # the knots are integers, so K <= x*D exactly when K <= floor(x*D)
+        a, b = segments[bisect_right(knots, x.numerator * scale // x.denominator)]
         # a constant segment, or one through 0, needs one Fraction operation or none
         out.append(b if not a else a * x if not b else a * x + b)
     return out
@@ -352,7 +390,11 @@ def _compile(g, plan):
             outs = tuple((base, _compose_maps(h, f)) for h in _generator_maps(vert.kind, s))
         for k, out in enumerate(outs):
             value[plan.tgt[("vo", v, k)]] = out
-    program = Program(tuple(joins), tuple(mixes), tuple(value[("out", j)] for j in range(g.m)))
+    outputs = tuple(value[("out", j)] for j in range(g.m))
+    program = Program(tuple(joins), tuple(mixes), outputs,
+                      tuple(((a, _integer_form(f)), (b, _integer_form(h)))
+                            for (a, f), (b, h) in mixes),
+                      tuple((base, _integer_form(f)) for base, f in outputs))
     object.__setattr__(g, "_maps", program)
     return program
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 from itertools import combinations, product
 
@@ -359,6 +360,25 @@ def test_cup_i_matches_the_per_simplex_brute_force(make):
                     assert cup_i(i, a, b, complex_) == brute_force_cup(i, a, b, complex_)
                     checked += 1
     assert checked >= 12
+
+
+def test_act_type_and_cup_i_leave_no_cyclic_garbage():
+    complex_ = rp2()
+    rng = random.Random(59)
+    a, b = random_cochain(rng, complex_, 1), random_cochain(rng, complex_, 1)
+    calls = [lambda: act_type(cup_type(2), ((0, 1, 2, 3),)),
+             lambda: act_type(SurjType(2, 2, ((1, 2), (2, 1))), ((0, 1, 2), (3, 4))),
+             lambda: cup_i(1, a, b, complex_)]
+    for call in calls:  # warm up every lazily built structure
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            assert call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- oracle: compose_types with a counit-capping prologue ---------------------

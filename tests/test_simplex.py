@@ -1,6 +1,8 @@
 import pickle
 import random
 import re
+from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,7 @@ from propcalc.errors import GraphError, ParseError
 from propcalc.generators import S, apply_attaching, corolla
 from propcalc.graphs import (ARITY, GraphTerm, Vertex, horizontal_compose,
                              permutation_graph, unit, vertical_compose)
-from propcalc.simplex import (SimplexPoint, carrier, check_cellular,
+from propcalc.simplex import (SimplexPoint, _apply, carrier, check_cellular,
                               check_naturality, codegeneracy, coface,
                               eval_generator, eval_term, face_action,
                               face_point, interpret, parse_point, point_in_face,
@@ -37,6 +39,104 @@ def test_point_validation():
 def test_point_validation_names_the_first_bad_coordinate(coords, message):
     with pytest.raises(GraphError, match=re.escape(message)):
         SimplexPoint(coords)
+
+
+def _loop_point_message(coords):
+    """The message of the point check's coordinate loop, or None when the
+    point is valid: the oracle for the Fraction fast path in front of it."""
+    prev = 0
+    for x in coords:
+        if not 0 <= x <= 1:
+            return f"coordinate {x} outside [0,1]"
+        if x < prev:
+            return "coordinates not monotone: (" + ",".join(str(y) for y in coords) + ")"
+        prev = x
+    return None
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((F(3, 2), F(1, 2)), "coordinate 3/2 outside [0,1]"),
+    ((F(1, 2), F(1, 4), F(2)), "coordinates not monotone: (1/2,1/4,2)"),
+    ((F(1, 4), F(-1, 2)), "coordinate -1/2 outside [0,1]"),
+    ((F(1, 4), F(5, 4)), "coordinate 5/4 outside [0,1]"),
+    ((2, 0), "coordinate 2 outside [0,1]"),
+    ((1, 0, 2), "coordinates not monotone: (1,0,2)"),
+    ((0, -1), "coordinate -1 outside [0,1]"),
+    ((1.5, 0.5), "coordinate 1.5 outside [0,1]"),
+    ((0.5, 0.25, 2.0), "coordinates not monotone: (0.5,0.25,2.0)"),
+    ((0.25, -0.5), "coordinate -0.5 outside [0,1]"),
+    ((0.25, float("nan")), "coordinate nan outside [0,1]"),
+    ((F(1, 2), 0.25, 2), "coordinates not monotone: (1/2,0.25,2)"),
+    ((F(1, 4), F(1, 2), -0.5), "coordinate -0.5 outside [0,1]"),
+    ((0.5, F(3, 2)), "coordinate 3/2 outside [0,1]"),
+    ((F(1, 2), 1, F(1, 2)), "coordinates not monotone: (1/2,1,1/2)"),
+])
+def test_every_coordinate_type_gets_the_same_messages(coords, message):
+    assert _loop_point_message(coords) == message
+    with pytest.raises(GraphError) as err:
+        SimplexPoint(coords)
+    assert str(err.value) == message
+
+
+def test_the_point_check_matches_the_loop_on_seeded_tuples():
+    rng = random.Random(709)
+    big = 10 ** 300
+    outcomes = {True: 0, False: 0}
+    for k in range(4000):
+        coords = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.5:
+                coords.append(F(rng.randint(-2, 66), 64))
+            else:
+                denominator = big + rng.randint(0, big)
+                coords.append(F(rng.randint(-1, denominator + 1), denominator))
+        if rng.random() < 0.5:
+            coords.sort()
+        kind = k % 4  # Fraction, int, float, or mixed Fraction and float
+        if kind == 1:
+            coords = [int(x) for x in coords]
+        elif kind == 2:
+            coords = [float(x) for x in coords]
+        elif kind == 3:
+            coords = [float(x) if rng.random() < 0.5 else x for x in coords]
+        coords = tuple(coords)
+        message = _loop_point_message(coords)
+        outcomes[message is None] += 1
+        if message is None:
+            assert SimplexPoint(coords).coords == coords
+        else:
+            with pytest.raises(GraphError) as err:
+                SimplexPoint(coords)
+            assert str(err.value) == message
+    assert min(outcomes.values()) > 1000
+
+
+@pytest.mark.parametrize("coords, shown", [
+    (("a",), "'a'"),
+    ((Decimal("0.5"),), "Decimal('0.5')"),
+    ((F(1, 4), None), "None"),
+    ((0.5, 1j), "1j"),
+])
+def test_points_refuse_coordinates_that_are_not_numbers(coords, shown):
+    with pytest.raises(GraphError, match=re.escape(
+            f"coordinate {shown} is not an int, a Fraction or a float")):
+        SimplexPoint(coords)
+
+
+def _fraction_sort_random_point(rng, d, denom=64):
+    """random_point as it was first written, sorting Fractions: the oracle."""
+    return SimplexPoint(tuple(sorted(F(rng.randint(0, denom), denom) for _ in range(d))))
+
+
+def test_random_point_draws_the_points_of_the_fraction_sort():
+    for seed in range(500):
+        for d in range(7):
+            for denom in (8, 64):
+                new, old = random.Random(seed), random.Random(seed)
+                p = random_point(new, d, denom)
+                assert p == _fraction_sort_random_point(old, d, denom)
+                assert all(type(x) is F for x in p.coords)
+                assert new.getstate() == old.getstate()
 
 
 def test_skeleton_level():
@@ -455,3 +555,37 @@ def test_bad_terms_and_calls_raise_the_same_errors():
         with pytest.raises(GraphError, match=r"point \(1/2\) does not live in dimension 2"):
             evaluate(g, (parse_point("1/2"),), d=2)
     assert cycle._maps is None
+
+
+def test_the_integer_bisection_matches_a_fraction_bisection():
+    rng = random.Random(711)
+    tiny = F(1, 10 ** 60)
+    maps = checked = 0
+    scales = set()
+    for _ in range(150):
+        g = _random_term(rng, rng.randint(1, 3), rng.randint(4, 60))
+        eval_term(g, tuple(random_point(rng, 1) for _ in range(g.n)))
+        program = g._maps
+        sides = ([f for mix in program.mixes for _, f in mix]
+                 + [f for _, f in program.outputs])
+        int_sides = ([f for mix in program.int_mixes for _, f in mix]
+                     + [f for _, f in program.int_outputs])
+        for (knots, segments), (scale, ints, int_segments) in zip(sides, int_sides):
+            assert int_segments is segments
+            assert [t * scale for t in knots] == list(ints)
+            assert all(type(k) is int for k in ints)
+            scales.add(scale)
+            xs = [0, 1, F(0), F(1)] + list(knots)
+            xs += [t + e for t in knots for e in (tiny, -tiny)]
+            for _ in range(4):
+                denominator = 10 ** 300 + rng.randint(0, 10 ** 300)
+                xs.append(F(rng.randint(0, denominator), denominator))
+            xs = [x for x in xs if 0 <= x <= 1]
+            expected = []
+            for x in xs:
+                a, b = segments[bisect_right(knots, x)]
+                expected.append(a * x + b)
+            assert list(_apply((scale, ints, segments), xs)) == expected
+            maps += 1
+            checked += len(xs)
+    assert maps > 400 and checked > 5000 and max(scales) > 2 ** 40
