@@ -20,15 +20,13 @@ products as index patterns on a simplex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 
 from .complexes import cochain_degree, face_picker, is_cocycle
 from .errors import CompositionError, GraphError, InternalError
 from .graphs import NPARAMS, GraphTerm, Permutation, plan_of
-from .surjections import (SurjType, _strands_by_wire, expand_graph, horizontal_type,
-                          identity_type, normalize, permute_inputs_type,
-                          permute_outputs_type, uniform_weights)
+from .surjections import (SurjType, _strands_by_wire, horizontal_type, identity_type,
+                          permute_outputs_type)
 
 
 @dataclass(frozen=True)
@@ -113,28 +111,6 @@ def differential(x) -> ChainElement:
     return ChainElement(x.n, x.m, x.degree - 1, support)
 
 
-def differential_via_graphs(t: SurjType) -> ChainElement:
-    """Boundary computed the long way, as an independent route.
-
-    Re-expand the cell into its canonical graph, replace each product
-    vertex by each of its two attaching endpoints, normalize every summand
-    and keep the ones of the expected dimension, mod 2.
-    """
-    g = expand_graph(uniform_weights(t))
-    result = ChainElement.zero(t.n, t.m, t.degree - 1)
-    for v, vert in enumerate(g.vertices):
-        if vert.kind != "mu":
-            continue
-        for endpoint in (Fraction(0), Fraction(1)):
-            verts = list(g.vertices)
-            verts[v] = type(vert)("mu", (endpoint,))
-            g2 = GraphTerm(g.n, g.m, tuple(verts), g.edges)
-            y = normalize(g2)
-            if y.degree == t.degree - 1:
-                result = result + ChainElement.of(y.stype)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # composition of chains (staircase refinements)
 
@@ -204,11 +180,6 @@ def permute_outputs_chain(x: ChainElement, tau: Permutation) -> ChainElement:
                         frozenset(permute_outputs_type(t, tau) for t in x.support))
 
 
-def permute_inputs_chain(x: ChainElement, sigma: Permutation) -> ChainElement:
-    return ChainElement(x.n, x.m, x.degree,
-                        frozenset(permute_inputs_type(t, sigma) for t in x.support))
-
-
 _GEN_TYPES = {"eps": eps_type, "delta": delta_type, "mu": mu_type}
 
 
@@ -249,19 +220,6 @@ def chain_eval(g: GraphTerm) -> ChainElement:
 
 # ---------------------------------------------------------------------------
 # action on simplicial chains
-
-def splittings(face, r):
-    """All ways to cut a face into r consecutive pieces sharing endpoints."""
-    q = len(face) - 1
-    for cuts in combinations_with_replacement(range(q + 1), r - 1):
-        prev = 0
-        pieces = []
-        for c in cuts:
-            pieces.append(face[prev:c + 1])
-            prev = c
-        pieces.append(face[prev:])
-        yield tuple(pieces)
-
 
 def act_type(t: SurjType, faces) -> frozenset:
     """Apply one basis cell to a tuple of faces; result is a set of

@@ -215,22 +215,6 @@ def cocycle_basis(complex_, q):
     return [frozenset(qs[i] for i in range(n) if vec >> i & 1) for vec in vecs]
 
 
-def _image_rank(complex_, q):
-    """Rank of the coboundary map from q-cochains to (q+1)-cochains."""
-    if not complex_.simplices(q) or not complex_.simplices(q + 1):
-        return 0
-    rows, _ = _coboundary_rows(complex_, q)
-    return len(_rref(rows)[0])
-
-
-def cohomology_dim(complex_, q) -> int:
-    """dim H^q with F2 coefficients."""
-    n = len(complex_.simplices(q))
-    cocycles = n - _image_rank(complex_, q)
-    coboundaries = _image_rank(complex_, q - 1) if q > 0 else 0
-    return cocycles - coboundaries
-
-
 def representative_cocycle(complex_, q):
     """A q-cocycle that is not a coboundary, or None if H^q = 0."""
     for vec in cocycle_basis(complex_, q):

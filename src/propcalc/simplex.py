@@ -15,16 +15,13 @@ Each wire carries a base (an input, or a mix of two earlier values) and
 one map of [0,1]: a diagonal or homotopy composes into the map, a product
 of two wires on the same base folds the two maps into one, and a product
 of two different bases becomes a new mix.  Output j is then
-x -> (f_j(x_1), ..., f_j(x_d)) on its base, and every map is stored as
-its interior knots and one exact (slope, intercept) pair per segment,
-and again with the knots scaled by the lcm D of their denominators to
-integers.  Evaluating is one bisection of floor(x*D) among the integer
-knots, which picks the same segment as x among the exact ones, and at
-most one exact a*x + b per coordinate for each mix side and each output;
-a float coordinate is mapped exactly at its binary value and rounded
-once, so it never leaves [0,1] by rounding.
-`interpret` runs a term generator by generator and is the reference the
-program is tested against.
+x -> (f_j(x_1), ..., f_j(x_d)) on its base.  The program keeps every map
+once, as integer knots over the lcm D of their denominators and one exact
+(slope, intercept) pair per segment.  Evaluating is one bisection of
+floor(x*D) among the integer knots, which picks the same segment as x
+among the exact knots, and at most one exact a*x + b per coordinate for
+each mix side and each output; a float coordinate is mapped exactly at
+its binary value and rounded once, so it never leaves [0,1] by rounding.
 """
 
 from __future__ import annotations
@@ -201,12 +198,12 @@ def eval_term(g: GraphTerm, points, d=None):
         else:
             values.append(p.coords)
             floats.append(None)
-    for (a, f), (b, h) in program.int_mixes:
+    for (a, f), (b, h) in program.mixes:
         values.append(tuple(map(add, _apply(f, values[a]), _apply(h, values[b]))))
         fa, fb = floats[a], floats[b]
         floats.append(fb if fa is None else fa if fb is None else tuple(map(or_, fa, fb)))
     outs = []
-    for base, f in program.int_outputs:
+    for base, f in program.outputs:
         coords = _apply(f, values[base])
         if floats[base] is not None:
             coords = [float(y) if r else y for y, r in zip(coords, floats[base])]
@@ -214,55 +211,39 @@ def eval_term(g: GraphTerm, points, d=None):
     return tuple(outs)
 
 
-def interpret(g: GraphTerm, points, d=None):
-    """Evaluate a term generator by generator, in the plan's order: the
-    reference for `eval_term`."""
-    plan = plan_of(g)
-    value = {plan.tgt[("in", i)]: p for i, p in enumerate(_inputs(g, points, d))}  # dst endpoint -> point
-    for v in plan.order:
-        vert = g.vertices[v]
-        s = vert.params[0] if vert.params else None
-        outs = eval_generator(vert.kind, s,
-                              tuple(value[("vi", v, k)] for k in range(vert.arity[0])))
-        for k, out in enumerate(outs):
-            value[plan.tgt[("vo", v, k)]] = out
-    return tuple(value[("out", j)] for j in range(g.m))
-
-
 # ---------------------------------------------------------------------------
 # compiled programs
 #
-# A map is (knots, segments): the interior knots 0 < t_1 < ... < t_k < 1
-# and k+1 pairs (a, b), the map being a*x + b on [t_i, t_{i+1}] with
-# t_0 = 0 and t_{k+1} = 1.  Adjacent segments always differ, so the knots
-# are exactly the breaks.  Its integer form (D, K, segments) has D the lcm
-# of the knots' denominators and K the integers t_i*D: x lies in segment
-# #{K_i <= floor(x*D)}, which `_apply` finds by bisection on ints.
+# While `_compile` builds it, a map is (knots, segments): the interior
+# knots 0 < t_1 < ... < t_k < 1 and k+1 pairs (a, b), the map being a*x + b
+# on [t_i, t_{i+1}] with t_0 = 0 and t_{k+1} = 1.  Adjacent segments always
+# differ, so the knots are exactly the breaks.  The program keeps each map
+# once, in integer form (D, K, segments): D is the lcm of the knots'
+# denominators and K the integers t_i*D, so the exact knots are K/D and x
+# lies in segment #{K_i <= floor(x*D)}, which `_apply` finds by bisection
+# on ints.  A zero slope is stored as (None, b), and a zero intercept beside
+# a nonzero slope as (a, None).
 
 
 class Program(NamedTuple):
-    """A term as interval maps on bases.
+    """A term as interval maps on bases, each map in integer form.
 
     Bases 0..n-1 are the inputs and base n+k is the value of mix k.  Each
     mix is ((a, f), (b, h)), the sum f(x_a) + h(x_b) coordinate by
     coordinate, with the product's weights s and 1-s folded into f and h.
     `joins` are the input pairs that some product, live or capped, puts
-    side by side: their points must have equal dimension.  `int_mixes`
-    and `int_outputs` are `mixes` and `outputs` with each map in integer
-    form, and are what evaluation runs.
+    side by side: their points must have equal dimension.
     """
     joins: tuple    # (i, j) with i < j
     mixes: tuple    # ((a, f), (b, h)), each reading only earlier bases
     outputs: tuple  # (base, map) per output
-    int_mixes: tuple
-    int_outputs: tuple
 
 
 _HALF = Fraction(1, 2)
 _IDENTITY = ((), ((Fraction(1), Fraction(0)),))
 _FRONT = ((_HALF,), ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1))))
 _BACK = ((_HALF,), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
-_INT_IDENTITY = (1, (), _IDENTITY[1])
+_INT_IDENTITY = (1, (), ((Fraction(1), None),))
 
 
 def _generator_maps(kind, s):
@@ -343,12 +324,15 @@ def _scaled(c, f):
 
 
 def _integer_form(f):
-    """The map f as (D, K, segments), its knots scaled to the integers K."""
+    """The map f as (D, K, segments), its knots scaled to the integers K and
+    each zero slope or intercept marked None."""
     if f is _IDENTITY:
         return _INT_IDENTITY
     knots, segments = f
     scale = lcm(*(t.denominator for t in knots))
-    return scale, tuple(t.numerator * (scale // t.denominator) for t in knots), segments
+    return (scale, tuple(t.numerator * (scale // t.denominator) for t in knots),
+            tuple((None, b) if not a else (a, None) if not b else (a, b)
+                  for a, b in segments))
 
 
 def _apply(f, xs):
@@ -360,8 +344,9 @@ def _apply(f, xs):
     for x in xs:
         # the knots are integers, so K <= x*D exactly when K <= floor(x*D)
         a, b = segments[bisect_right(knots, x.numerator * scale // x.denominator)]
-        # a constant segment, or one through 0, needs one Fraction operation or none
-        out.append(b if not a else a * x if not b else a * x + b)
+        # a constant segment, or one through 0, is marked None and needs one
+        # Fraction operation or none
+        out.append(b if a is None else a * x if b is None else a * x + b)
     return out
 
 
@@ -381,7 +366,8 @@ def _compile(g, plan):
             if a == b:
                 outs = ((a, _convex_maps(s, f, h)),)
             else:
-                mixes.append(((a, _scaled(s, f)), (b, _scaled(1 - s, h))))
+                mixes.append(((a, _integer_form(_scaled(s, f))),
+                              (b, _integer_form(_scaled(1 - s, h)))))
                 reads.append(reads[a])
                 outs = ((len(reads) - 1, _IDENTITY),)
         else:
@@ -390,11 +376,9 @@ def _compile(g, plan):
             outs = tuple((base, _compose_maps(h, f)) for h in _generator_maps(vert.kind, s))
         for k, out in enumerate(outs):
             value[plan.tgt[("vo", v, k)]] = out
-    outputs = tuple(value[("out", j)] for j in range(g.m))
-    program = Program(tuple(joins), tuple(mixes), outputs,
-                      tuple(((a, _integer_form(f)), (b, _integer_form(h)))
-                            for (a, f), (b, h) in mixes),
-                      tuple((base, _integer_form(f)) for base, f in outputs))
+    outputs = tuple((base, _integer_form(f))
+                    for base, f in (value[("out", j)] for j in range(g.m)))
+    program = Program(tuple(joins), tuple(mixes), outputs)
     object.__setattr__(g, "_maps", program)
     return program
 
@@ -413,10 +397,6 @@ def carrier(p: SimplexPoint) -> tuple:
     return tuple(j for j in range(d + 1) if xs[d - j + 1] > xs[d - j])
 
 
-def point_in_face(p: SimplexPoint, face) -> bool:
-    return set(carrier(p)) <= set(face)
-
-
 def face_point(rng, d, face, denom=16) -> SimplexPoint:
     """A random point of the closed face [v_0,...,v_k] inside the d-simplex."""
     raw = [rng.randint(0, denom) for _ in face]
@@ -428,11 +408,6 @@ def face_point(rng, d, face, denom=16) -> SimplexPoint:
     for c in range(1, d + 1):
         coords.append(sum((w for v, w in lam.items() if v > d - c), Fraction(0)))
     return SimplexPoint(tuple(coords))
-
-
-def vertex_point(d, j) -> SimplexPoint:
-    """The j-th vertex of the d-simplex: d-j zeros then j ones."""
-    return SimplexPoint((Fraction(0),) * (d - j) + (Fraction(1),) * j)
 
 
 def face_action(kind, faces):

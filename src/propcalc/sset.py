@@ -18,6 +18,7 @@ translation between the two is index -> dimension - index.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -108,7 +109,6 @@ def sset_from_json(text) -> SimplicialSet:
     with one face entry per index 0..dim for every positive-dimensional
     cell; degeneracy words are standard indices, outermost first.
     """
-    import json
     doc = json.loads(text)
     cells = [Cell(name, dim) for name, dim in doc["cells"]]
     dims = {c.name: c.dim for c in cells}
@@ -120,7 +120,6 @@ def sset_from_json(text) -> SimplicialSet:
 
 
 def sset_to_json(ss: SimplicialSet) -> str:
-    import json
     cells = sorted((c.name, c.dim) for c in ss.cells.values())
     faces = {}
     for (name, j), fc in sorted(ss.faces.items()):
@@ -147,14 +146,6 @@ def from_complex(complex_) -> SimplicialSet:
                 if sub:
                     faces[(name, j)] = FormalCell((), Cell(",".join(map(str, sub)), k - 1))
     return SimplicialSet(cells, faces)
-
-
-def circle_sset() -> SimplicialSet:
-    """One vertex, one edge, both faces at the vertex."""
-    pt = Cell("pt", 0)
-    e = Cell("e", 1)
-    return SimplicialSet([pt, e], {("e", 0): FormalCell((), pt),
-                                   ("e", 1): FormalCell((), pt)})
 
 
 # ---------------------------------------------------------------------------

@@ -215,14 +215,6 @@ def permute_inputs_ws(x: WeightedSurjection, sigma: Permutation) -> WeightedSurj
 permute_outputs_ws = permute_outputs_type
 
 
-def cap_output_ws(x: WeightedSurjection, j: int) -> WeightedSurjection:
-    """Compose with a counit on output j: delete its strands, renumber."""
-    if not 1 <= j <= x.m:
-        raise GraphError(f"no output {j}")
-    return compose_weighted(
-        x, horizontal_ws([identity_ws(j - 1), counit_class(1), identity_ws(x.m - j)]))
-
-
 def _strands_by_wire(blocks, m):
     """Positions (block, index) of the strands into each of the m outputs,
     in strand order."""

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from . import chains, complexes, generators, graphs, simplex, sset, surfaces
 from .surjections import (canonicalize_ws, enumerate_basis, equal_ms, normalize,
@@ -164,7 +164,7 @@ def crit4_chain_map(seed=DEFAULT_SEED):
 
 
 def crit5_steenrod(seed=DEFAULT_SEED):
-    """Steenrod suite: coboundary relation, Sq1 on the projective plane,
+    """Steenrod suite: coboundary relations, Sq1 on the projective plane,
     Sq0 stability, and cup-0 against the front/back oracle."""
     t0 = time.time()
     rng = random.Random(f"{seed}:5")
@@ -184,6 +184,25 @@ def crit5_steenrod(seed=DEFAULT_SEED):
             rhs = (chains.cup_i(0, a, b, K) ^ chains.cup_i(0, b, a, K))
             if lhs != rhs:
                 failures.append(("coboundary", d, qa, qb))
+
+    # Steenrod's formula on arbitrary cochains, d <= 6, i <= 3:
+    # delta(a cup_i b) = da cup_i b + a cup_i db + a cup_(i-1) b + b cup_(i-1) a
+    for d in range(1, 7):
+        K = complexes.SimplicialComplex.standard_simplex(d)
+        for _ in range(70):
+            while True:  # a degree the coboundary of a cup_i b still lives in
+                i, qa, qb = rng.randint(0, 3), rng.randint(0, d), rng.randint(0, d)
+                if 0 <= qa + qb - i < d and i <= min(qa, qb) + 1:
+                    break
+            a = frozenset(f for f in K.simplices(qa) if rng.random() < 0.5)
+            b = frozenset(f for f in K.simplices(qb) if rng.random() < 0.5)
+            da, db = complexes.coboundary(K, a), complexes.coboundary(K, b)
+            lhs = complexes.coboundary(K, chains.cup_i(i, a, b, K))
+            rhs = chains.cup_i(i, da, b, K) ^ chains.cup_i(i, a, db, K)
+            if i:
+                rhs ^= chains.cup_i(i - 1, a, b, K) ^ chains.cup_i(i - 1, b, a, K)
+            if lhs != rhs:
+                failures.append(("steenrod-formula", d, i, qa, qb))
 
     # Sq1 detects the generator on the projective plane
     K = complexes.rp2()
@@ -439,7 +458,7 @@ def crit9_symmetry(seed=DEFAULT_SEED):
     t0 = time.time()
     failures = []
     for m in range(1, 5):
-        perms = [p for p in _permutations(m) if p != tuple(range(1, m + 1))]
+        perms = [p for p in permutations(range(1, m + 1)) if p != tuple(range(1, m + 1))]
         for k in range(0, 4):
             for t in enumerate_basis(1, m, k):
                 x = uniform_weights(t)
@@ -456,11 +475,6 @@ def crit9_symmetry(seed=DEFAULT_SEED):
     return _outcome(9, "symmetric group anchors", not failures,
                     "free output action, input fixed point reproduced"
                     if not failures else f"failures {failures[:3]}", t0)
-
-
-def _permutations(m):
-    from itertools import permutations as perms
-    return [tuple(p) for p in perms(range(1, m + 1))]
 
 
 SUITES = [crit1_confluence, crit2_basis_counts, crit3_differential,

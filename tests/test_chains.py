@@ -1,7 +1,8 @@
 import functools
 import gc
 import random
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -9,15 +10,59 @@ from propcalc import chains
 from propcalc.chains import (ChainElement, _staircases, act, act_type, chain_compose,
                              chain_eval, compose_types,
                              cup_i, cup_type, delta_type, differential,
-                             differential_via_graphs, diff_type, eps_type,
+                             diff_type, eps_type,
                              face_boundary, horizontal_chain, identity_type,
-                             mu_type, permute_inputs_chain, permute_outputs_chain,
-                             splittings, tensor_boundary)
-from propcalc.complexes import SimplicialComplex, circle, rp2
+                             mu_type, permute_outputs_chain,
+                             tensor_boundary)
+from propcalc.complexes import SimplicialComplex, circle, coboundary, rp2
 from propcalc.errors import CompositionError, GraphError
-from propcalc.graphs import Permutation
-from propcalc.surjections import SurjType, enumerate_basis, random_stype, random_sterm
+from propcalc.graphs import GraphTerm, Permutation
+from propcalc.surjections import (SurjType, enumerate_basis, expand_graph, normalize,
+                                  permute_inputs_type, random_stype, random_sterm,
+                                  uniform_weights)
 from propcalc.terms import parse
+
+
+# --- oracles: independent routes the library does not need ------------------
+
+def differential_via_graphs(t: SurjType) -> ChainElement:
+    """Boundary computed the long way, as an independent route.
+
+    Re-expand the cell into its canonical graph, replace each product
+    vertex by each of its two attaching endpoints, normalize every summand
+    and keep the ones of the expected dimension, mod 2.
+    """
+    g = expand_graph(uniform_weights(t))
+    result = ChainElement.zero(t.n, t.m, t.degree - 1)
+    for v, vert in enumerate(g.vertices):
+        if vert.kind != "mu":
+            continue
+        for endpoint in (Fraction(0), Fraction(1)):
+            verts = list(g.vertices)
+            verts[v] = type(vert)("mu", (endpoint,))
+            g2 = GraphTerm(g.n, g.m, tuple(verts), g.edges)
+            y = normalize(g2)
+            if y.degree == t.degree - 1:
+                result = result + ChainElement.of(y.stype)
+    return result
+
+
+def permute_inputs_chain(x: ChainElement, sigma: Permutation) -> ChainElement:
+    return ChainElement(x.n, x.m, x.degree,
+                        frozenset(permute_inputs_type(t, sigma) for t in x.support))
+
+
+def splittings(face, r):
+    """All ways to cut a face into r consecutive pieces sharing endpoints."""
+    q = len(face) - 1
+    for cuts in combinations_with_replacement(range(q + 1), r - 1):
+        prev = 0
+        pieces = []
+        for c in cuts:
+            pieces.append(face[prev:c + 1])
+            prev = c
+        pieces.append(face[prev:])
+        yield tuple(pieces)
 
 
 def faces_of(d):
@@ -360,6 +405,33 @@ def test_cup_i_matches_the_per_simplex_brute_force(make):
                     assert cup_i(i, a, b, complex_) == brute_force_cup(i, a, b, complex_)
                     checked += 1
     assert checked >= 12
+
+
+def test_steenrod_coboundary_formula_holds_on_arbitrary_cochains():
+    """d(a cup_i b) = da cup_i b + a cup_i db + a cup_(i-1) b + b cup_(i-1) a,
+    with cup_(-1) = 0, on cochains of the simplices 1..6 that need not be
+    cocycles."""
+    rng = random.Random(60)
+    pairs = nonzero = not_cocycles = 0
+    for d in range(1, 7):
+        complex_ = SimplicialComplex.standard_simplex(d)
+        for _ in range(70):
+            while True:  # a degree the coboundary of a cup_i b still lives in
+                i, pa, pb = rng.randint(0, 3), rng.randint(0, d), rng.randint(0, d)
+                if 0 <= pa + pb - i < d and i <= min(pa, pb) + 1:
+                    break
+            a = random_cochain(rng, complex_, pa)
+            b = random_cochain(rng, complex_, pb)
+            da, db = coboundary(complex_, a), coboundary(complex_, b)
+            lhs = coboundary(complex_, cup_i(i, a, b, complex_))
+            rhs = cup_i(i, da, b, complex_) ^ cup_i(i, a, db, complex_)
+            if i:
+                rhs ^= cup_i(i - 1, a, b, complex_) ^ cup_i(i - 1, b, a, complex_)
+            assert lhs == rhs, (d, i, a, b)
+            pairs += 1
+            nonzero += bool(lhs)
+            not_cocycles += bool(da or db)
+    assert pairs == 420 and nonzero > 60 and not_cocycles > 300
 
 
 def test_act_type_and_cup_i_leave_no_cyclic_garbage():

@@ -1,9 +1,10 @@
+import math
 import pickle
 import random
 import re
 from bisect import bisect_right
 from decimal import Decimal
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,39 @@ from hypothesis import strategies as st
 from propcalc.errors import GraphError, ParseError
 from propcalc.generators import S, apply_attaching, corolla
 from propcalc.graphs import (ARITY, GraphTerm, Vertex, horizontal_compose,
-                             permutation_graph, unit, vertical_compose)
-from propcalc.simplex import (SimplexPoint, _apply, carrier, check_cellular,
+                             permutation_graph, plan_of, unit, vertical_compose)
+from propcalc.simplex import (SimplexPoint, _apply, _inputs, carrier, check_cellular,
                               check_naturality, codegeneracy, coface,
                               eval_generator, eval_term, face_action,
-                              face_point, interpret, parse_point, point_in_face,
-                              random_point, vertex_point)
+                              face_point, parse_point, random_point)
 from propcalc.surjections import random_sterm
 from propcalc.terms import parse
+
+
+# --- oracles: the generator-by-generator route and face membership ----------
+
+def interpret(g: GraphTerm, points, d=None):
+    """Evaluate a term generator by generator, in the plan's order: the
+    reference for `eval_term`."""
+    plan = plan_of(g)
+    value = {plan.tgt[("in", i)]: p for i, p in enumerate(_inputs(g, points, d))}  # dst endpoint -> point
+    for v in plan.order:
+        vert = g.vertices[v]
+        s = vert.params[0] if vert.params else None
+        outs = eval_generator(vert.kind, s,
+                              tuple(value[("vi", v, k)] for k in range(vert.arity[0])))
+        for k, out in enumerate(outs):
+            value[plan.tgt[("vo", v, k)]] = out
+    return tuple(value[("out", j)] for j in range(g.m))
+
+
+def point_in_face(p: SimplexPoint, face) -> bool:
+    return set(carrier(p)) <= set(face)
+
+
+def vertex_point(d, j) -> SimplexPoint:
+    """The j-th vertex of the d-simplex: d-j zeros then j ones."""
+    return SimplexPoint((Fraction(0),) * (d - j) + (Fraction(1),) * j)
 
 
 def test_point_validation():
@@ -370,11 +396,24 @@ def _random_term(rng, n, vertices, max_width=6):
     return GraphTerm(g.n, g.m, g.vertices, g.edges)  # fresh: no plan, no maps
 
 
-def _program_maps(g):
-    """Every map of g's compiled program: each mix side's and each output's."""
-    program = g._maps
+def _stored_maps(program):
+    """Every map of a compiled program, as stored: each mix side's and each
+    output's."""
     return ([f for mix in program.mixes for _, f in mix]
             + [f for _, f in program.outputs])
+
+
+def _exact(f):
+    """A stored map (D, K, segments) as its exact knots K/D and its
+    (slope, intercept) pairs, a zero stored as None read back as 0."""
+    scale, ints, segments = f
+    return (tuple(F(k, scale) for k in ints),
+            tuple((F(0) if a is None else a, F(0) if b is None else b) for a, b in segments))
+
+
+def _program_maps(g):
+    """Every map of g's compiled program, exact: each mix side's and each output's."""
+    return [_exact(f) for f in _stored_maps(g._maps)]
 
 
 def _special_coordinates(g):
@@ -445,7 +484,8 @@ def test_compiled_maps_are_continuous_monotone_and_fix_the_endpoints():
         eval_term(g, (random_point(rng, 1),))
         assert g._maps.joins == g._maps.mixes == ()
         assert len(g._maps.outputs) == g.m
-        for base, (knots, segments) in g._maps.outputs:
+        for base, f in g._maps.outputs:
+            knots, segments = _exact(f)
             assert base == 0
             assert len(segments) == len(knots) + 1
             assert list(knots) == sorted(set(knots)) and all(0 < t < 1 for t in knots)
@@ -565,14 +605,8 @@ def test_the_integer_bisection_matches_a_fraction_bisection():
     for _ in range(150):
         g = _random_term(rng, rng.randint(1, 3), rng.randint(4, 60))
         eval_term(g, tuple(random_point(rng, 1) for _ in range(g.n)))
-        program = g._maps
-        sides = ([f for mix in program.mixes for _, f in mix]
-                 + [f for _, f in program.outputs])
-        int_sides = ([f for mix in program.int_mixes for _, f in mix]
-                     + [f for _, f in program.int_outputs])
-        for (knots, segments), (scale, ints, int_segments) in zip(sides, int_sides):
-            assert int_segments is segments
-            assert [t * scale for t in knots] == list(ints)
+        for scale, ints, int_segments in _stored_maps(g._maps):
+            knots, segments = _exact((scale, ints, int_segments))
             assert all(type(k) is int for k in ints)
             scales.add(scale)
             xs = [0, 1, F(0), F(1)] + list(knots)
@@ -585,7 +619,48 @@ def test_the_integer_bisection_matches_a_fraction_bisection():
             for x in xs:
                 a, b = segments[bisect_right(knots, x)]
                 expected.append(a * x + b)
-            assert list(_apply((scale, ints, segments), xs)) == expected
+            assert list(_apply((scale, ints, int_segments), xs)) == expected
             maps += 1
             checked += len(xs)
     assert maps > 400 and checked > 5000 and max(scales) > 2 ** 40
+
+
+def test_each_map_is_stored_once_as_integer_knots_over_their_least_scale():
+    """A stored map is (D, K, segments) with int D and K, D the lcm of the
+    denominators of K/D, and segments that decode to the exact continuous,
+    monotone map; a zero slope is stored as (None, b) and a zero intercept
+    beside a nonzero slope as (a, None)."""
+    rng = random.Random(712)
+    maps = mixed = marked = 0
+    for _ in range(160):
+        g = _random_term(rng, rng.randint(1, 3), rng.randint(4, 60))
+        eval_term(g, tuple(random_point(rng, 1) for _ in range(g.n)))
+        program = g._maps
+        assert len(program) == 3
+        for f in _stored_maps(program):
+            scale, ints, stored = f
+            assert type(scale) is int and type(ints) is tuple
+            assert all(type(k) is int for k in ints)
+            knots, segments = _exact(f)
+            assert scale == math.lcm(*(t.denominator for t in knots))
+            for a, b in stored:
+                if a is None:
+                    assert type(b) is F
+                else:
+                    assert type(a) is F and a != 0
+                    assert b is None or (type(b) is F and b != 0)
+                marked += a is None or b is None
+            assert len(segments) == len(knots) + 1
+            assert list(knots) == sorted(set(knots)) and all(0 < t < 1 for t in knots)
+            assert all(a >= 0 for a, _ in segments)
+            for t, (a, b), (c, e) in zip(knots, segments, segments[1:]):
+                assert a * t + b == c * t + e and (a, b) != (c, e)
+            assert segments[0][1] == 0  # f(0) = 0
+            maps += 1
+        for base, f in program.outputs:
+            assert sum(_exact(f)[1][-1]) == 1  # f(1) = 1
+        for (_, f), (_, h) in program.mixes:
+            # the two sides carry the weights s and 1 - s
+            assert sum(_exact(f)[1][-1]) + sum(_exact(h)[1][-1]) == 1
+            mixed += 1
+    assert maps > 400 and mixed > 50 and marked > 100

@@ -5,11 +5,19 @@ import pytest
 
 from propcalc.errors import GraphError
 from propcalc.simplex import SimplexPoint, random_point
-from propcalc.sset import (Cell, FormalCell, RealizationPoint,
-                           apply_word_to_point, canonicalize, circle_sset,
+from propcalc.sset import (Cell, FormalCell, RealizationPoint, SimplicialSet,
+                           apply_word_to_point, canonicalize,
                            from_complex, pull_back_cell, realization_act,
                            standard_sset)
 from propcalc.terms import parse
+
+
+def circle_sset() -> SimplicialSet:
+    """One vertex, one edge, both faces at the vertex."""
+    pt = Cell("pt", 0)
+    e = Cell("e", 1)
+    return SimplicialSet([pt, e], {("e", 0): FormalCell((), pt),
+                                   ("e", 1): FormalCell((), pt)})
 
 
 def test_simplicial_identities_on_standard_simplex():
