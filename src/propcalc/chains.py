@@ -180,13 +180,20 @@ def permute_outputs_chain(x: ChainElement, tau: Permutation) -> ChainElement:
                         frozenset(permute_outputs_type(t, tau) for t in x.support))
 
 
-_GEN_TYPES = {"eps": eps_type, "delta": delta_type, "mu": mu_type}
+_GEN_TYPES = {"eps": eps_type, "delta": delta_type, "mu": mu_type,
+              "id": lambda: identity_type(1)}
 
 
 def chain_eval(g: GraphTerm) -> ChainElement:
     """Class of a term in the chain prop; every parametrized vertex
     contributes its whole generating cell, and the counit homotopy is sent
-    to zero (its image cell is degenerate)."""
+    to zero (its image cell is degenerate).
+
+    Each vertex acts through its generating cell positioned over the
+    current wires: a wire the vertex does not read keeps its strand,
+    numbered among the kept wires, and each input of the vertex carries the
+    generator's block, numbered after them.
+    """
     plan = plan_of(g)
     degree = sum(NPARAMS[v.kind] for v in g.vertices)
     if any(v.kind == "phi" for v in g.vertices):
@@ -195,27 +202,17 @@ def chain_eval(g: GraphTerm) -> ChainElement:
     wires = [plan.tgt[("in", i)] for i in range(g.n)]  # edge ids = dst endpoints
     state = ChainElement.of(identity_type(g.n))
     for v in plan.order:
-        vert = g.vertices[v]
-        ins = [("vi", v, k) for k in range(vert.arity[0])]
-        others = [wb for wb in wires if wb not in ins]
-        first = min(wires.index(ep) for ep in ins)
-        cut = sum(1 for wb in wires[:first] if wb not in ins)
-        new_wires = others[:cut] + ins + others[cut:]
-        tau = Permutation(tuple(new_wires.index(wb) + 1 for wb in wires))
-        state = permute_outputs_chain(state, tau)
+        gen = _GEN_TYPES[g.vertices[v].kind]()
+        ins = {("vi", v, k): blk for k, blk in enumerate(gen.blocks)}
+        kept = [wb for wb in wires if wb not in ins]
+        rank = {wb: j for j, wb in enumerate(kept, 1)}
+        blocks = tuple((rank[wb],) if wb in rank else tuple(f + len(kept) for f in ins[wb])
+                       for wb in wires)
+        state = chain_compose(state, ChainElement.of(
+            SurjType(len(wires), len(kept) + gen.m, blocks)))
+        wires = kept + [plan.tgt[("vo", v, k)] for k in range(gen.m)]
 
-        gen = ChainElement.of(_GEN_TYPES[vert.kind]()) if vert.kind != "id" \
-            else ChainElement.of(identity_type(1))
-        layer = ChainElement.of(identity_type(cut))
-        layer = horizontal_chain(layer, gen)
-        layer = horizontal_chain(
-            layer, ChainElement.of(identity_type(len(new_wires) - cut - len(ins))))
-        state = chain_compose(state, layer)
-        outs = [plan.tgt[("vo", v, k)] for k in range(vert.arity[1])]
-        wires = new_wires[:cut] + outs + new_wires[cut + len(ins):]
-
-    tau = Permutation(tuple(dst[1] + 1 for dst in wires))
-    return permute_outputs_chain(state, tau)
+    return permute_outputs_chain(state, Permutation(tuple(dst[1] + 1 for dst in wires)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def run(argv=None) -> int:
     args = _parser().parse_args(_attach_dash_values(argv))
     try:
         if args.command == "verify":
-            only = _criteria(args.only) if args.only else None
+            only = _criteria(args.only) if args.only is not None else None
             results = verify.run_all(seed=args.seed, only=only)
             return 0 if all(r.passed for r in results) else 2
         print(_output(args))

@@ -81,7 +81,7 @@ class SimplexPoint:
     @property
     def skeleton_level(self):
         """Dimension of the smallest cell containing the point."""
-        return sum(1 for x in self.coords if 0 < x < 1)
+        return len(carrier(self)) - 1
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.coords) + ")"

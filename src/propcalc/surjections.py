@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 from .errors import CompositionError, GraphError, InternalError, WeightingError
@@ -265,48 +266,23 @@ def enumerate_basis(n: int, m: int, degree: int):
     """All nondegenerate assignment types of the given biarity and degree.
 
     Blocks are nonempty here (the interior cells); counit-capped cells
-    only arise as boundaries.
+    only arise as boundaries.  The r = m + degree strands are split into
+    n blocks at every choice of cut points, each block is filled by a word
+    with no adjacent repeat, and a choice is kept when it hits every output.
     """
-    if m < 1 or degree < 0 or n < 1:
-        return []
     r = m + degree
-    if r < n:
+    if m < 1 or degree < 0 or n < 1 or r < n:
         return []
+    words = [[()]]  # words[k]: the words of length k with no adjacent repeat
+    for _ in range(r - n + 1):
+        words.append([w + (f,) for w in words[-1] for f in range(1, m + 1)
+                      if not w or w[-1] != f])
     results = []
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    def fill(blocks_sizes, built, used):
-        if not blocks_sizes:
-            if len(used) == m:
-                results.append(SurjType(n, m, tuple(built)))
-            return
-        size = blocks_sizes[0]
-        remaining_slots = sum(blocks_sizes)
-
-        def extend(blk):
-            if len(blk) == size:
-                fill(blocks_sizes[1:], built + [tuple(blk)],
-                     used | set(blk))
-                return
-            for f in range(1, m + 1):
-                if blk and blk[-1] == f:
-                    continue
-                # prune: enough slots left to hit every unused output
-                if len(used | set(blk) | {f}) + (remaining_slots - len(blk) - 1) < m:
-                    continue
-                extend(blk + [f])
-
-        extend([])
-
-    for sizes in compositions(r, n):
-        fill(list(sizes), [], set())
+    for cuts in combinations(range(1, r), n - 1):
+        bounds = (0,) + cuts + (r,)
+        for blocks in product(*(words[b - a] for a, b in zip(bounds, bounds[1:]))):
+            if len(set(chain.from_iterable(blocks))) == m:
+                results.append(SurjType(n, m, blocks))
     return sorted(results, key=lambda t: t.blocks)
 
 

@@ -16,7 +16,7 @@ from propcalc.chains import (ChainElement, _staircases, act, act_type, chain_com
                              tensor_boundary)
 from propcalc.complexes import SimplicialComplex, circle, coboundary, rp2
 from propcalc.errors import CompositionError, GraphError
-from propcalc.graphs import GraphTerm, Permutation
+from propcalc.graphs import NPARAMS, GraphTerm, Permutation, Vertex, plan_of
 from propcalc.surjections import (SurjType, enumerate_basis, expand_graph, normalize,
                                   permute_inputs_type, random_stype, random_sterm,
                                   uniform_weights)
@@ -559,3 +559,62 @@ def test_chain_eval_matches_the_capping_oracle_on_terms_with_counits(monkeypatch
     monkeypatch.setattr(chains, "compose_types", _old_compose_types)
     assert new == [chain_eval(g) for g in terms]
     assert sum(not x.is_zero() for x in new) > 300
+
+
+# --- oracle: chain_eval through permutation and padding layers ----------------
+
+def _old_chain_eval(g: GraphTerm) -> ChainElement:
+    """Each vertex's inputs brought together by a permutation of the state's
+    outputs, the generator padded by identities on both sides, then composed."""
+    plan = plan_of(g)
+    degree = sum(NPARAMS[v.kind] for v in g.vertices)
+    if any(v.kind == "phi" for v in g.vertices):
+        return ChainElement.zero(g.n, g.m, degree)
+    gens = {"eps": eps_type, "delta": delta_type, "mu": mu_type}
+
+    wires = [plan.tgt[("in", i)] for i in range(g.n)]
+    state = ChainElement.of(identity_type(g.n))
+    for v in plan.order:
+        vert = g.vertices[v]
+        ins = [("vi", v, k) for k in range(vert.arity[0])]
+        others = [wb for wb in wires if wb not in ins]
+        first = min(wires.index(ep) for ep in ins)
+        cut = sum(1 for wb in wires[:first] if wb not in ins)
+        new_wires = others[:cut] + ins + others[cut:]
+        tau = Permutation(tuple(new_wires.index(wb) + 1 for wb in wires))
+        state = permute_outputs_chain(state, tau)
+
+        gen = ChainElement.of(gens[vert.kind]()) if vert.kind != "id" \
+            else ChainElement.of(identity_type(1))
+        layer = ChainElement.of(identity_type(cut))
+        layer = horizontal_chain(layer, gen)
+        layer = horizontal_chain(
+            layer, ChainElement.of(identity_type(len(new_wires) - cut - len(ins))))
+        state = chain_compose(state, layer)
+        outs = [plan.tgt[("vo", v, k)] for k in range(vert.arity[1])]
+        wires = new_wires[:cut] + outs + new_wires[cut + len(ins):]
+
+    tau = Permutation(tuple(dst[1] + 1 for dst in wires))
+    return permute_outputs_chain(state, tau)
+
+
+def _splice_units(g: GraphTerm, rng, count) -> GraphTerm:
+    """g with `count` unit-decorated vertices inserted on random edges."""
+    for _ in range(count):
+        src, dst = rng.choice(sorted(g.edges))
+        v = len(g.vertices)
+        g = GraphTerm(g.n, g.m, g.vertices + (Vertex("id"),),
+                      g.edges - {(src, dst)} | {(src, ("vi", v, 0)), (("vo", v, 0), dst)})
+    return g
+
+
+def test_chain_eval_matches_the_permutation_layer_route():
+    rng = random.Random(55)
+    terms = [random_sterm(rng) for _ in range(1000)]
+    while len(terms) < 1600:
+        terms.append(_splice_units(random_sterm(rng, max_inputs=3), rng, rng.randint(1, 3)))
+    assert sum(v.kind == "id" for g in terms for v in g.vertices) >= 600
+    new = [chain_eval(g) for g in terms]
+    assert new == [_old_chain_eval(g) for g in terms]
+    assert sum(not x.is_zero() for x in new) > 300
+    assert sum(not x.is_zero() for x in new[1000:]) > 100

@@ -251,7 +251,7 @@ def test_malformed_terms_exit_1(capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("only", ["a", "12", "0", "2,x", "2,10"])
+@pytest.mark.parametrize("only", ["a", "12", "0", "2,x", "2,10", ""])
 def test_verify_rejects_unknown_criteria(capsys, only):
     assert run(["verify", "--only", only]) == 1
     captured = capsys.readouterr()

@@ -168,6 +168,9 @@ def test_random_point_draws_the_points_of_the_fraction_sort():
 def test_skeleton_level():
     assert SimplexPoint((F(0), F(1, 2), F(1))).skeleton_level == 1
     assert SimplexPoint((F(1, 4), F(1, 2))).skeleton_level == 2
+    # repeated coordinates: the carrier is an edge, not the open simplex
+    assert SimplexPoint((F(1, 3), F(1, 3), F(1, 3))).skeleton_level == 1
+    assert SimplexPoint((F(1, 2), F(1, 2))).skeleton_level == 1
 
 
 def test_diagonal_formula():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -264,6 +265,35 @@ def test_enumerate_basis_anchors():
     assert {t.blocks for t in enumerate_basis(1, 2, 1)} == {((1, 2, 1),), ((2, 1, 2),)}
     assert enumerate_basis(1, 1, 1) == []
     assert enumerate_basis(1, 1, 3) == []
+
+
+def _brute_basis(n, m, degree):
+    """Every sequence of r = m + degree outputs, cut by every choice of n
+    block sizes, kept when no block repeats an output twice in a row and
+    every output is hit."""
+    r = m + degree
+    splits = [sizes for sizes in product(range(1, r + 1), repeat=n) if sum(sizes) == r]
+    found = []
+    for seq in product(range(1, m + 1), repeat=r):
+        if len(set(seq)) != m:
+            continue
+        for sizes in splits:
+            blocks, start = [], 0
+            for size in sizes:
+                blocks.append(seq[start:start + size])
+                start += size
+            if all(a != b for blk in blocks for a, b in zip(blk, blk[1:])):
+                found.append(tuple(blocks))
+    return sorted(found)
+
+
+def test_enumerate_basis_matches_brute_force():
+    for n in range(1, 5):
+        for m in range(0, 5):
+            for degree in range(4):
+                got = enumerate_basis(n, m, degree)
+                assert all((t.n, t.m, t.degree) == (n, m, degree) for t in got)
+                assert [t.blocks for t in got] == _brute_basis(n, m, degree), (n, m, degree)
 
 
 def test_zero_weight_strand_boundary():
