@@ -20,9 +20,10 @@ products as index patterns on a simplex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from operator import and_
 
-from .complexes import cochain_degree, face_picker, is_cocycle
+from .complexes import cochain_degree, is_cocycle, pick_faces
 from .errors import CompositionError, GraphError, InternalError
 from .graphs import NPARAMS, GraphTerm, Permutation, plan_of
 from .surjections import (SurjType, _strands_by_wire, horizontal_type, identity_type,
@@ -344,18 +345,15 @@ def cup_i(i: int, a: frozenset, b: frozenset, complex_) -> frozenset:
     if deg < 0:
         return frozenset()
     # every simplex is a sorted tuple of distinct vertices, so the action on
-    # it is the action on (0..deg) relabelled through the simplex
-    pattern = [(face_picker(f1), face_picker(f2))
-               for f1, f2 in act_type(cup_type(i), (tuple(range(deg + 1)),))
-               if len(f1) == pa + 1]
+    # it is the action on (0..deg) relabelled through the simplex; each cut
+    # pattern is one scan of the simplices, its hits toggled in the result
+    sigmas, columns = complex_._columns(deg)
     result = set()
-    for sigma in complex_.simplices(deg):
-        count = 0
-        for f1, f2 in pattern:
-            if f1(sigma) in a and f2(sigma) in b:
-                count ^= 1
-        if count:
-            result.add(sigma)
+    for f1, f2 in act_type(cup_type(i), (tuple(range(deg + 1)),)):
+        if len(f1) == pa + 1:
+            result.symmetric_difference_update(compress(sigmas, map(
+                and_, map(a.__contains__, pick_faces(columns, f1)),
+                map(b.__contains__, pick_faces(columns, f2)))))
     return frozenset(result)
 
 

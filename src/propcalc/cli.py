@@ -100,7 +100,7 @@ def _cochain_from_file(path, complex_):
     """A cochain file whose faces must all be simplices of the complex."""
     cochain = complexes.cochain_from_text(_read(path))
     # a face can only be a simplex of its own dimension
-    lengths = {len(f) for f in cochain}
+    lengths = set(map(len, cochain))
     stray = cochain.difference(*(complex_._faces(n - 1) for n in lengths))
     if stray:
         raise PropcalcError(f"{path}: face {' '.join(map(str, min(stray)))} "

@@ -4,12 +4,22 @@ small amount of GF(2) linear algebra the verification suites need.
 A complex is given by its maximal faces; every face is stored as a
 strictly increasing vertex tuple.  Cochains are represented by their
 supports: frozensets of faces of one dimension.
+
+The work is done a column at a time by builtins rather than a face at a
+time in Python.  The reader converts every token of a file in one `int`
+pass and regroups the values into faces.  Faces that enter, from a file or
+a constructor, are checked for strict increase column by column when they
+all have one width, and are sorted one by one only when that check fails.
+The k-faces of a complex are cut out of its maximal faces one vertex-position
+pattern at a time.  `coboundary` and `chains.cup_i` scan the simplices once
+per facet, or once per cut pattern, and fold the hits into the result by
+symmetric difference, which is the mod-2 count.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations, compress, islice, repeat
+from operator import itemgetter, lt
 
 from .errors import GraphError
 
@@ -19,20 +29,54 @@ class SimplicialComplex:
     time, the first time that dimension is asked for."""
 
     def __init__(self, maximal_faces):
-        self._maximal = {tuple(sorted(set(f))) for f in maximal_faces}
+        faces = list(map(tuple, maximal_faces))
+        if _increasing(faces):
+            self._maximal = set(faces)
+        else:
+            self._maximal = {tuple(sorted(set(f))) for f in faces}
         if () in self._maximal:
             raise GraphError("empty face")
         self.dim = max(map(len, self._maximal), default=0) - 1
+        self._by_width = None
         self._face_sets = {}
         self._sorted = {}
+        self._scans = {}
 
     def _faces(self, k):
-        """The set of k-faces."""
+        """The set of k-faces, cut out of each width's maximal faces one
+        choice of k + 1 vertex positions at a time."""
         faces = self._face_sets.get(k)
         if faces is None:
-            faces = self._face_sets[k] = {c for f in self._maximal if len(f) > k >= 0
-                                          for c in combinations(f, k + 1)}
+            if k <= 0:
+                faces = {c for f in self._maximal if len(f) > k >= 0
+                         for c in combinations(f, k + 1)}
+            else:
+                faces = set()
+                for w, group in self._groups().items():
+                    for positions in combinations(range(w), k + 1):
+                        faces.update(map(itemgetter(*positions), group))
+            self._face_sets[k] = faces
         return faces
+
+    def _groups(self):
+        """The maximal faces grouped by width, made once."""
+        if self._by_width is None:
+            widths = set(map(len, self._maximal))
+            if len(widths) == 1:
+                self._by_width = {widths.pop(): self._maximal}
+            else:
+                self._by_width = {w: [f for f in self._maximal if len(f) == w]
+                                  for w in widths}
+        return self._by_width
+
+    def _columns(self, k):
+        """The k-simplices in one fixed order, and their k + 1 vertex
+        columns: the j-th column holds the j-th vertex of each simplex."""
+        scan = self._scans.get(k)
+        if scan is None:
+            sigmas = list(self._faces(k))
+            scan = self._scans[k] = (sigmas, list(zip(*sigmas)) or [()] * (k + 1))
+        return scan
 
     def simplices(self, k):
         faces = self._sorted.get(k)
@@ -60,24 +104,53 @@ class SimplicialComplex:
         return cls([tuple(range(d + 1))])
 
 
+def _increasing(faces) -> bool:
+    """Whether every face is strictly increasing, tested one pair of
+    adjacent vertex columns at a time; False unless all faces have one
+    width, so that ragged input takes the per-face route."""
+    if len(set(map(len, faces))) != 1:
+        return False
+    columns = list(zip(*faces))
+    return all(all(map(lt, left, right)) for left, right in zip(columns, columns[1:]))
+
+
 def _faces_from_text(text):
     """One face per line as a vertex tuple in the order written; blank lines
-    and '#' comments skipped."""
-    faces = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
+    and '#' comments skipped.  Every token goes through one `int` pass."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))
+    try:
+        values = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        # name the first line with a bad token, as written less its comment
+        for line in map(str.strip, lines):
             try:
-                faces.append(tuple(map(int, line.split())))
+                list(map(int, line.split()))
             except ValueError:
                 raise GraphError(f"vertices must be integers: {line!r}") from None
-    return faces
+        raise
+    return list(_regroup(values, list(map(len, rows))))
+
+
+def _regroup(values, lengths):
+    """The values cut, in order, into consecutive tuples of these lengths:
+    one `zip` over a shared iterator when all lengths agree."""
+    it = iter(values)
+    widths = set(lengths)
+    if len(widths) == 1:
+        return zip(*[it] * widths.pop())
+    return map(tuple, map(islice, repeat(it), lengths))
 
 
 def cochain_from_text(text) -> frozenset:
     """One face per line, vertices as integers, '#' comments; a text with
     no face, such as `cochain_to_text` of the zero cochain, is zero."""
-    return frozenset(tuple(sorted(f)) for f in _faces_from_text(text))
+    faces = _faces_from_text(text)
+    if _increasing(faces):
+        return frozenset(faces)
+    return frozenset(tuple(sorted(f)) for f in faces)
 
 
 def cochain_to_text(cochain) -> str:
@@ -85,40 +158,37 @@ def cochain_to_text(cochain) -> str:
     `# zero cochain`, so the text of every cochain reads back as it."""
     if not cochain:
         return "# zero cochain"
-    return "\n".join(" ".join(str(v) for v in f) for f in sorted(cochain))
+    faces = sorted(cochain)
+    words = map(str, chain.from_iterable(faces))
+    return "\n".join(map(" ".join, _regroup(words, list(map(len, faces)))))
 
 
 def cochain_degree(cochain) -> int:
     """The dimension shared by the faces of a nonzero cochain."""
-    dims = {len(f) - 1 for f in cochain}
-    if len(dims) != 1:
+    widths = set(map(len, cochain))
+    if len(widths) != 1:
         raise GraphError("cochain must be homogeneous")
-    return dims.pop()
+    return widths.pop() - 1
 
 
-def face_picker(positions):
-    """The face of a simplex at these vertex positions, as a function."""
-    if len(positions) == 1:
-        j = positions[0]
-        return lambda sigma: (sigma[j],)
-    return itemgetter(*positions)
+def pick_faces(columns, positions):
+    """The face at these vertex positions of each simplex, read off the
+    simplices' vertex columns."""
+    return zip(*[columns[j] for j in positions])
 
 
 def coboundary(complex_: SimplicialComplex, cochain: frozenset) -> frozenset:
-    """Mod-2 coboundary: count odd incidences with codimension-one faces,
-    each read through its own `face_picker`."""
+    """Mod-2 coboundary: one scan of the (q+1)-simplices per facet position,
+    each simplex whose facet lies in the cochain toggled in the result."""
     if not cochain:
         return frozenset()
     q = cochain_degree(cochain)
-    facets = [face_picker(tuple(k for k in range(q + 2) if k != j)) for j in range(q + 2)]
+    sigmas, columns = complex_._columns(q + 1)
     out = set()
-    for sigma in complex_.simplices(q + 1):
-        parity = 0
-        for facet in facets:
-            if facet(sigma) in cochain:
-                parity ^= 1
-        if parity:
-            out.add(sigma)
+    for j in range(q + 2):
+        facet = (*range(j), *range(j + 1, q + 2))
+        out.symmetric_difference_update(
+            compress(sigmas, map(cochain.__contains__, pick_faces(columns, facet))))
     return frozenset(out)
 
 
