@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: parse, normalize, compose, eval, act, cup, sq, surface,
-verify, export.  Exit code 1 flags a parse or validation problem, 2 an
-internal invariant failure or a failed verification.  `--format` selects
-one of the output formats a subcommand renders; it defaults to text, and
-to json for `export`.
+verify, export.  Exit code 1 flags a parse or validation problem, or a
+computation too deep for the interpreter; 2 an internal invariant failure
+or a failed verification.  `--format` selects one of the output formats a
+subcommand renders; it defaults to text, and to json for `export`.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def run(argv=None) -> int:
             only = _criteria(args.only) if args.only is not None else None
             results = verify.run_all(seed=args.seed, only=only)
             return 0 if all(r.passed for r in results) else 2
-        print(_output(args))
+        # the whole text is written out before any of it is printed
+        print(_render(args))
         return 0
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
@@ -171,17 +172,15 @@ def run(argv=None) -> int:
     except PropcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _output(args) -> str:
-    """The whole text a command prints, written out before any of it is printed."""
-    try:
-        return _render(args)
+    except RecursionError:
+        print("error: computation too deep for the interpreter", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # an exact result whose integers exceed the int-to-text conversion limit
         if "integer string conversion" not in str(exc):
             raise
-        raise PropcalcError("a result coordinate has too many digits to print") from None
+        print("error: a result coordinate has too many digits to print", file=sys.stderr)
+        return 1
 
 
 def _ws_text(x: WeightedSurjection, fmt):

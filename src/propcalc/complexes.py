@@ -10,16 +10,17 @@ time in Python.  The reader converts every token of a file in one `int`
 pass and regroups the values into faces.  Faces that enter, from a file or
 a constructor, are checked for strict increase column by column when they
 all have one width, and are sorted one by one only when that check fails.
-The k-faces of a complex are cut out of its maximal faces one vertex-position
-pattern at a time.  `coboundary` and `chains.cup_i` scan the simplices once
-per facet, or once per cut pattern, and fold the hits into the result by
-symmetric difference, which is the mod-2 count.
+The maximal faces of each width are kept as vertex columns, and the k-faces
+are read off those columns one choice of k + 1 vertex positions at a time.
+`coboundary` and `chains.cup_i` scan the simplices once per facet, or once
+per cut pattern, and fold the hits into the result by symmetric
+difference, which is the mod-2 count.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, compress, islice, repeat
-from operator import itemgetter, lt
+from operator import lt
 
 from .errors import GraphError
 
@@ -43,30 +44,22 @@ class SimplicialComplex:
         self._scans = {}
 
     def _faces(self, k):
-        """The set of k-faces, cut out of each width's maximal faces one
-        choice of k + 1 vertex positions at a time."""
+        """The set of k-faces, read off each width's vertex columns one
+        choice of k + 1 vertex positions at a time; empty for k < 0."""
         faces = self._face_sets.get(k)
         if faces is None:
-            if k <= 0:
-                faces = {c for f in self._maximal if len(f) > k >= 0
-                         for c in combinations(f, k + 1)}
-            else:
-                faces = set()
-                for w, group in self._groups().items():
-                    for positions in combinations(range(w), k + 1):
-                        faces.update(map(itemgetter(*positions), group))
+            faces = set()
+            for w, columns in self._groups().items() if k >= 0 else ():
+                for positions in combinations(range(w), k + 1):
+                    faces.update(pick_faces(columns, positions))
             self._face_sets[k] = faces
         return faces
 
     def _groups(self):
-        """The maximal faces grouped by width, made once."""
+        """Each width's maximal faces as vertex columns, made once."""
         if self._by_width is None:
-            widths = set(map(len, self._maximal))
-            if len(widths) == 1:
-                self._by_width = {widths.pop(): self._maximal}
-            else:
-                self._by_width = {w: [f for f in self._maximal if len(f) == w]
-                                  for w in widths}
+            self._by_width = {w: list(zip(*(f for f in self._maximal if len(f) == w)))
+                              for w in set(map(len, self._maximal))}
         return self._by_width
 
     def _columns(self, k):
@@ -275,14 +268,10 @@ def is_coboundary(complex_, cochain) -> bool:
 
 def cocycle_basis(complex_, q):
     """Supports of a basis of the q-cocycles."""
-    qs = complex_.simplices(q)
+    rows, qs = _coboundary_rows(complex_, q)
     n = len(qs)
-    if not complex_.simplices(q + 1):
-        vecs = [1 << i for i in range(n)]
-    else:
-        rows, _ = _coboundary_rows(complex_, q)
-        vecs = kernel_basis(rows, n)
-    return [frozenset(qs[i] for i in range(n) if vec >> i & 1) for vec in vecs]
+    return [frozenset(qs[i] for i in range(n) if vec >> i & 1)
+            for vec in kernel_basis(rows, n)]
 
 
 def representative_cocycle(complex_, q):

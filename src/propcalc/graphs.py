@@ -534,8 +534,8 @@ _DOT_SHAPE = {"eps": "point", "delta": "triangle", "mu": "invtriangle",
               "phi": "circle", "id": "plaintext"}
 
 
-def to_dot(g: GraphTerm, name: str = "term") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=TB;"]
+def to_dot(g: GraphTerm) -> str:
+    lines = ["digraph term {", "  rankdir=TB;"]
     for i in range(g.n):
         lines.append(f'  in{i + 1} [shape=none, label="{i + 1}"];')
     for j in range(g.m):

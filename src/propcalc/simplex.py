@@ -30,9 +30,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
-from operator import add, le, or_
+from operator import add, or_
 from typing import NamedTuple
 
 from .errors import GraphError, ParseError
@@ -47,7 +46,7 @@ class SimplexPoint:
     def __post_init__(self):
         # 0 <= x_1 <= ... <= x_d <= 1, for Fraction coordinates as integer
         # cross products n*pd >= pn*d; any other type, and any failure, goes
-        # on to the generic check
+        # on to the checks below, which name the first bad coordinate
         pn, pd = 0, 1
         for x in self.coords:
             if type(x) is not Fraction:
@@ -62,10 +61,6 @@ class SimplexPoint:
         for x in self.coords:
             if not isinstance(x, (int, Fraction, float)):
                 raise GraphError(f"coordinate {x!r} is not an int, a Fraction or a float")
-        # the generic check in d+1 comparisons; the loop below names the
-        # first bad coordinate
-        if all(map(le, chain((0,), self.coords), chain(self.coords, (1,)))):
-            return
         prev = 0
         for x in self.coords:
             if not 0 <= x <= 1:
@@ -397,9 +392,9 @@ def carrier(p: SimplexPoint) -> tuple:
     return tuple(j for j in range(d + 1) if xs[d - j + 1] > xs[d - j])
 
 
-def face_point(rng, d, face, denom=16) -> SimplexPoint:
+def face_point(rng, d, face) -> SimplexPoint:
     """A random point of the closed face [v_0,...,v_k] inside the d-simplex."""
-    raw = [rng.randint(0, denom) for _ in face]
+    raw = [rng.randint(0, 16) for _ in face]
     if not any(raw):
         raw[rng.randrange(len(raw))] = 1
     total = sum(raw)
@@ -461,7 +456,7 @@ def _as_map(g):
     return fn, n, m, 0
 
 
-def check_cellular(g, d, samples, rng, denom=64):
+def check_cellular(g, d, samples, rng):
     """Sample the operation and report skeleton-level violations.
 
     Cellularity: the total output skeleton level may exceed the total
@@ -472,7 +467,7 @@ def check_cellular(g, d, samples, rng, denom=64):
     fn, n, m, degree = _as_map(g)
     violations = []
     for _ in range(samples):
-        pts = tuple(random_point(rng, d, denom) for _ in range(n))
+        pts = tuple(random_point(rng, d) for _ in range(n))
         outs = fn(pts)
         lvl_in = sum(p.skeleton_level for p in pts)
         lvl_out = sum(p.skeleton_level for p in outs)

@@ -380,8 +380,8 @@ def remove_arc(rg: RibbonGraph, e) -> RibbonGraph:
 # ---------------------------------------------------------------------------
 # exports
 
-def ribbon_to_dot(rg: RibbonGraph, name="ribbon") -> str:
-    lines = [f"graph {name} {{"]
+def ribbon_to_dot(rg: RibbonGraph) -> str:
+    lines = ["graph ribbon {"]
     names = {v: f"v{idx}" for idx, v in enumerate(sorted(rg.rotation, key=str))}
     for v, ident in names.items():
         tag = rg.tags[v]

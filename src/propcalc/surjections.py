@@ -638,8 +638,8 @@ def _expand_work(x: WeightedSurjection) -> _Work:
 # ---------------------------------------------------------------------------
 # randomized term and element generators (seeded; shared by tests and verify)
 
-def random_interior(rng, denom=16):
-    return Fraction(rng.randint(1, denom - 1), denom)
+def random_interior(rng):
+    return Fraction(rng.randint(1, 15), 16)
 
 
 def random_sterm(rng, max_vertices=12, max_inputs=3) -> GraphTerm:
@@ -687,10 +687,10 @@ def random_stype(rng, max_n=3, max_m=3, max_degree=3) -> SurjType:
     raise InternalError("no basis element found")
 
 
-def random_weights(rng, t: SurjType, denom=8, boundary_strand=None) -> WeightedSurjection:
+def random_weights(rng, t: SurjType, boundary_strand=None) -> WeightedSurjection:
     """Random positive weights per output; optionally zero out one strand."""
     flat_positions = [(i, u) for i, blk in enumerate(t.blocks) for u in range(len(blk))]
-    raw = [[rng.randint(1, denom) for _ in blk] for blk in t.blocks]
+    raw = [[rng.randint(1, 8) for _ in blk] for blk in t.blocks]
     if boundary_strand is not None:
         i, u = flat_positions[boundary_strand]
         raw[i][u] = 0

@@ -618,3 +618,16 @@ def test_chain_eval_matches_the_permutation_layer_route():
     assert new == [_old_chain_eval(g) for g in terms]
     assert sum(not x.is_zero() for x in new) > 300
     assert sum(not x.is_zero() for x in new[1000:]) > 100
+
+
+def test_biarity_guards_name_the_problem():
+    with pytest.raises(GraphError) as info:
+        ChainElement(1, 1, 0, frozenset([mu_type()]))
+    assert str(info.value) == ("type SurjType(n=2, m=1, blocks=((1,), (1,))) "
+                               "does not live in (1,1) degree 0")
+    with pytest.raises(GraphError) as info:
+        ChainElement.of(mu_type()) + ChainElement.of(delta_type())
+    assert str(info.value) == "cannot add chains of different biarity or degree"
+    with pytest.raises(CompositionError) as info:
+        compose_types(delta_type(), delta_type())
+    assert str(info.value) == "cannot compose (1,2) above (1,2)"

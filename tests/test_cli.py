@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from propcalc import cli
 from propcalc.cli import run
+from propcalc.errors import InternalError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -372,6 +374,32 @@ def test_a_zero_cup_result_reads_back_as_the_zero_cochain(capsys, tmp_path):
     assert captured.out.strip() == "# zero cochain" and captured.err == ""
 
 
+def _raise_internal(*args):
+    raise InternalError("planted")
+
+
+_RP2 = ["--complex", os.path.join(DATA, "rp2.sc")]
+_H1 = os.path.join(DATA, "rp2_h1.cc")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["act", "--term", "eps", "--face", "0,1"], 0, "0\n", ""),
+    (["normalize", "delta"], 2, "", "internal error: planted\n"),
+    (["cup", "--i", "-1", *_RP2, "--a", _H1, "--b", _H1], 1, "",
+     "error: cup index must be nonnegative\n"),
+    (["parse", "(" * 3000 + "id" + ")" * 3000], 1, "", "error: term nested too deeply\n"),
+    (["eval", "--term", "delta", "--point", ""], 0, "(), ()\n", ""),
+], ids=["act-counit-kills-an-edge", "internal-error", "negative-cup-index",
+        "3000-parentheses", "empty-point"])
+def test_each_exit_path_prints_its_own_line(capsys, monkeypatch, argv, code, out, err):
+    # a planted bug in normalize, which only the internal-error case reaches
+    monkeypatch.setattr(cli, "normalize", _raise_internal)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+    assert "Traceback" not in captured.err
+
+
 # --- python -m propcalc ------------------------------------------------------
 
 def _module_run(*argv):
@@ -389,6 +417,15 @@ def test_python_m_propcalc_runs_the_command_line():
 
 def test_python_m_propcalc_reports_an_error_without_a_traceback():
     proc = _module_run("normalize", "(((")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_an_act_too_deep_for_the_interpreter_exits_1_without_a_traceback():
+    # ten layers of deltas: a (1,1024) term whose cell places 1023 pieces
+    term = " ; ".join(" | ".join(["delta"] * 2 ** k) for k in range(10))
+    proc = _module_run("act", "--term", term, "--face", "0")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""

@@ -725,3 +725,9 @@ def test_sq_and_cup_print_what_the_per_simplex_route_printed(capsys, tmp_path):
         assert (code, out, err) == want, argv
         outcomes.add((code, out == "# zero cochain\n", err.split(":")[0]))
     assert outcomes == {(0, False, ""), (0, True, ""), (1, False, "error")}
+
+
+def test_a_circle_needs_three_edges():
+    with pytest.raises(GraphError) as info:
+        circle(2)
+    assert str(info.value) == "need at least three edges"

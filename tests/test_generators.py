@@ -390,3 +390,44 @@ def test_attaching_refuses_a_term_with_an_unwired_slot(s):
         apply_attaching(phi, S)
     with pytest.raises(GraphError, match="unwired"):
         apply_attaching(phi)
+
+
+@pytest.mark.parametrize("text, change, message", [
+    ("mu(1/2)", {("vi", 0, 0): Fraction(-1, 2), ("vi", 0, 1): Fraction(3, 2)},
+     "edge ('in', 0)->('vi', 0, 0) has negative weight -1/2"),
+    ("delta ; (id | eps)", {("vi", 1, 0): Fraction(1)},
+     "counit edge ('vo', 0, 1)->('vi', 1, 0) has weight 1 != 0"),
+    ("mu(1/2)", {("out", 0): Fraction(1, 2)},
+     "output edge ('vo', 0, 0)->('out', 0) has weight 1/2 != 1"),
+], ids=["negative", "counit", "output"])
+def test_from_edge_weights_names_each_edge_problem(text, change, message):
+    g = parse(text)
+    weights = {**to_edge_weights(g), **change}
+    with pytest.raises(WeightingError) as info:
+        from_edge_weights(g, weights)
+    assert str(info.value) == message
+
+
+def test_to_edge_weights_refuses_h_and_passes_labels_through_id_vertices():
+    with pytest.raises(GraphError) as info:
+        to_edge_weights(parse("h(1/2)"))
+    assert str(info.value) == "edge weights are defined on the counital presentation only"
+    # delta with its first output through an id vertex
+    g = GraphTerm(1, 2, (Vertex("delta"), Vertex("id")),
+                  frozenset({(("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("vi", 1, 0)),
+                             (("vo", 1, 0), ("out", 0)), (("vo", 0, 1), ("out", 1))}))
+    assert to_edge_weights(g) == {("out", 0): 1, ("out", 1): 1,
+                                  ("vi", 1, 0): 1, ("vi", 0, 0): 2}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: stabilize_remove(GraphTerm(1, 0, (Vertex("eps"),),
+                                        frozenset({(("in", 0), ("vi", 0, 0))}))),
+     "stabilize_remove needs at least one output"),
+    (lambda: corolla("foo"), "unknown generator 'foo'"),
+    (lambda: check_tag(parse("mu(1/2)"), "x"), "unknown prop tag 'x'"),
+], ids=["stabilize-remove-m0", "corolla-kind", "check-tag"])
+def test_generator_guards_name_the_problem(call, message):
+    with pytest.raises(GraphError) as info:
+        call()
+    assert str(info.value) == message

@@ -304,3 +304,17 @@ def test_exhaust_names_a_pass_that_does_not_terminate():
     work = Wiring(0, 0)
     with pytest.raises(InternalError, match="^spinning pass did not terminate$"):
         work.exhaust(lambda w: [0], lambda w, r: None, what="spinning pass")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Vertex("foo"), "unknown vertex kind 'foo'"),
+    (lambda: Vertex("mu", (0.5,)), "parameters must be exact Fractions"),
+    (lambda: unit(-1), "unit arity must be nonnegative"),
+    (lambda: permute_inputs(corolla("mu", (Fraction(1, 2),)), Permutation((1,))),
+     "permutation degree 1 != 2 inputs"),
+    (lambda: permute_outputs(unit(1), Permutation((2, 1))), "permutation degree 2 != 1 outputs"),
+], ids=["vertex-kind", "vertex-param", "unit", "permute-inputs", "permute-outputs"])
+def test_constructor_guards_name_the_problem(call, message):
+    with pytest.raises(GraphError) as info:
+        call()
+    assert str(info.value) == message

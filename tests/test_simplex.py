@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propcalc import simplex
 from propcalc.errors import GraphError, ParseError
 from propcalc.generators import S, apply_attaching, corolla
 from propcalc.graphs import (ARITY, GraphTerm, Vertex, horizontal_compose,
@@ -667,3 +668,40 @@ def test_each_map_is_stored_once_as_integer_knots_over_their_least_scale():
             assert sum(_exact(f)[1][-1]) + sum(_exact(h)[1][-1]) == 1
             mixed += 1
     assert maps > 400 and mixed > 50 and marked > 100
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: codegeneracy(SimplexPoint((F(1, 2),)), 2), "codegeneracy index 2 outside 1..1"),
+    (lambda: check_naturality(corolla("delta"), "x", 0, 1, 1, random.Random(0)),
+     "unknown operator 'x'"),
+    (lambda: eval_generator("foo", None, ()), "unknown generator 'foo'"),
+    (lambda: face_action("foo", ()), "unknown generator 'foo'"),
+], ids=["codegeneracy-index", "naturality-operator", "eval-generator", "face-action"])
+def test_guards_name_the_problem(call, message):
+    with pytest.raises(GraphError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _constant_evaluator(value):
+    """An evaluator that moves every output coordinate to value(d), d the
+    output point's dimension: a corrupted control for `check_naturality`."""
+    def corrupted(g, points, d=None):
+        return tuple(SimplexPoint((value(p.d),) * p.d) for p in eval_term(g, points, d))
+    return corrupted
+
+
+def test_naturality_reports_a_corrupted_evaluator(monkeypatch):
+    g = corolla("delta")
+    for op, index in (("delta", 0), ("sigma", 1)):
+        assert check_naturality(g, op, index, 1, 10, random.Random(79)) == []
+    # every coordinate at 1/2 moves the coface's new 0 ...
+    monkeypatch.setattr(simplex, "eval_term", _constant_evaluator(lambda d: F(1, 2)))
+    assert len(check_naturality(g, "delta", 0, 1, 10, random.Random(79))) == 10
+    # ... but commutes with dropping a coordinate, as any coordinatewise map does
+    assert check_naturality(g, "sigma", 1, 1, 10, random.Random(79)) == []
+    # a value that depends on the dimension is caught across a codegeneracy too
+    monkeypatch.setattr(simplex, "eval_term", _constant_evaluator(lambda d: F(1, d + 1)))
+    for op, index in (("delta", 0), ("sigma", 1)):
+        bad = check_naturality(g, op, index, 1, 10, random.Random(79))
+        assert len(bad) == 10

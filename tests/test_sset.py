@@ -153,3 +153,21 @@ def test_sset_json_round_trip():
     assert c2.face(e, 0) == c2.face(e, 1) == c2.nondegenerate("pt")
     s0e = c2.degeneracy(e, 0)
     assert c2.face(s0e, 2) == c2.degeneracy(c2.face(e, 1), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SimplicialSet([Cell("pt", 0), Cell("e", 1)], {("e", 0): FormalCell((), Cell("pt", 0))}),
+     "missing face d_1 of e"),
+    (lambda: standard_sset(2).face(standard_sset(2).nondegenerate("0,1,2"), 3),
+     "face index 3 outside 0..2"),
+    (lambda: standard_sset(2).degeneracy(standard_sset(2).nondegenerate("0,1,2"), 3),
+     "degeneracy index 3 outside 0..2"),
+    (lambda: standard_sset(2).face(standard_sset(2).nondegenerate("0"), 0),
+     "vertex has no faces"),
+    (lambda: RealizationPoint(standard_sset(2).nondegenerate("0,1,2"), SimplexPoint((F(1, 2),))),
+     "cell dimension does not match the point"),
+], ids=["missing-face", "face-index", "degeneracy-index", "face-of-a-vertex", "point-dimension"])
+def test_guards_name_the_problem(call, message):
+    with pytest.raises(GraphError) as info:
+        call()
+    assert str(info.value) == message

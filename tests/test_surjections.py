@@ -6,8 +6,8 @@ import pytest
 
 from propcalc.errors import (CompositionError, GraphError, InternalError, PropcalcError,
                              WeightingError)
-from propcalc.graphs import (Permutation, iso_equal, sources_by_target, unit,
-                             vertical_compose)
+from propcalc.graphs import (GraphTerm, Permutation, Vertex, iso_equal, sources_by_target,
+                             unit, vertical_compose)
 from propcalc.surjections import (SurjType, WeightedSurjection, _canonical_parts,
                                   canonicalize_ws, compose_weighted, counit_class,
                                   eliminate_counits, enumerate_basis, equal_ms,
@@ -675,3 +675,33 @@ def test_weighted_surjections_are_their_cells_and_match_the_old_prop_operations(
     for k in range(7):
         assert _exact(identity_ws(k)) == _exact(_old_identity_ws(k))
     assert repr(points[-1]) == repr(_old_permute_outputs_ws(points[-1], Permutation.identity(3)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SurjType(2, 1, ((1,),)), GraphError, "2 inputs but 1 blocks"),
+    (lambda: SurjType(1, 1, ((2,),)), GraphError, "assignment value 2 outside 1..1"),
+    (lambda: SurjType(1, 2, ((1,),)), GraphError, "assignment misses output 2"),
+    (lambda: WeightedSurjection(1, 1, ((1,),), ()), GraphError, "weights do not match blocks"),
+    (lambda: WeightedSurjection(1, 1, ((1,),), ((Fraction(1), Fraction(0)),)), GraphError,
+     "weights do not match blocks"),
+    (lambda: WeightedSurjection(1, 1, ((1,),), ((0.5,),)), WeightingError,
+     "bad strand weight 0.5"),
+    (lambda: WeightedSurjection(1, 1, ((1,),), ((Fraction(-1),),)), WeightingError,
+     "bad strand weight Fraction(-1, 1)"),
+], ids=["block-count", "value-range", "missed-output", "weights-per-block",
+        "weights-per-strand", "float-weight", "negative-weight"])
+def test_type_guards_name_the_problem(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_leibniz_push_refuses_id_vertices_and_internal_counits():
+    id_vertex = GraphTerm(1, 1, (Vertex("id"),),
+                          frozenset({(("in", 0), ("vi", 0, 0)), (("vo", 0, 0), ("out", 0))}))
+    for g, message in ((id_vertex, "normalizer does not accept id vertices"),
+                       (parse("delta ; (id | eps)"),
+                        "leibniz_push expects internal counits eliminated first")):
+        with pytest.raises(GraphError) as info:
+            leibniz_push(g)
+        assert str(info.value) == message
