@@ -20,7 +20,7 @@ products as index patterns on a simplex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from itertools import combinations_with_replacement, compress, product
 from operator import and_
 
 from .complexes import cochain_degree, is_cocycle, pick_faces
@@ -113,48 +113,36 @@ def differential(x) -> ChainElement:
 
 
 # ---------------------------------------------------------------------------
-# composition of chains (staircase refinements)
-
-def _staircases(p, q):
-    """Monotone lattice paths from (0,0) to (p-1,q-1), as index pairs."""
-    steps = p + q - 2
-    for a_positions in combinations(range(steps), p - 1):
-        path = [(0, 0)]
-        ia = ib = 0
-        for s in range(steps):
-            if s in a_positions:
-                ia += 1
-            else:
-                ib += 1
-            path.append((ia, ib))
-        yield path
-
+# composition of chains (interval cuts of each wire's bottom block)
 
 def compose_types(t1: SurjType, t2: SurjType) -> frozenset:
     """All top cells of the composed cells, mod 2.
 
-    A wire capped by a counit below leaves its strand no pieces; a placement
-    whose neighbors then coincide is degenerate and dropped.
+    The p strands on a wire cut the wire's bottom block of q entries into
+    consecutive runs, one per strand, and consecutive runs share one entry:
+    the p - 1 cut points are a nondecreasing choice from range(q), and each
+    strand runs from the previous cut through its own, the last one to the
+    end of the block.  A wire capped by a counit below (q = 0) leaves its
+    one strand an empty run, and has no cut points at all under two or more
+    strands: that composed cell drops dimension.  A placement whose
+    neighbors then coincide is degenerate and dropped.
     """
     if t1.m != t2.n:
         raise CompositionError(f"cannot compose ({t1.n},{t1.m}) above ({t2.n},{t2.m})")
     wires = _strands_by_wire(t1.blocks, t1.m)
-    options = []
-    for strands, below in zip(wires, t2.blocks):
-        if below:
-            options.append(list(_staircases(len(strands), len(below))))
-        elif len(strands) > 1:
-            return frozenset()  # the composed cell drops dimension
-        else:
-            options.append([()])
+    options = [combinations_with_replacement(range(len(below)), len(strands) - 1)
+               for strands, below in zip(wires, t2.blocks)]
 
     results = set()
     for combo in product(*options):
-        pieces = [[[] for _ in blk] for blk in t1.blocks]  # per top strand: [f2, ...]
-        for strands, below, path in zip(wires, t2.blocks, combo):
-            for ia, ib in path:
-                i, u = strands[ia]
-                pieces[i][u].append(below[ib])
+        pieces = [[()] * len(blk) for blk in t1.blocks]  # per top strand: (f2, ...)
+        for strands, below, cuts in zip(wires, t2.blocks, combo):
+            a = 0
+            for (i, u), b in zip(strands, cuts):
+                pieces[i][u] = below[a:b + 1]
+                a = b
+            i, u = strands[-1]
+            pieces[i][u] = below[a:]
         blocks = tuple(tuple(f for strand in blk for f in strand) for blk in pieces)
         if all(a != b for blk in blocks for a, b in zip(blk, blk[1:])):
             results ^= {SurjType(t1.n, t2.m, blocks)}

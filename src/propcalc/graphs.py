@@ -303,21 +303,14 @@ def permute_inputs(g: GraphTerm, sigma: Permutation) -> GraphTerm:
     """Relabel inputs: the new input j is wired where old input sigma(j) was."""
     if sigma.degree != g.n:
         raise GraphError(f"permutation degree {sigma.degree} != {g.n} inputs")
-    inv = sigma.inverse()
-    edges = frozenset(
-        ((("in", inv(src[1] + 1) - 1), dst) if src[0] == "in" else (src, dst))
-        for src, dst in g.edges)
-    return GraphTerm(g.n, g.m, g.vertices, edges)
+    return vertical_compose(permutation_graph(sigma), g)
 
 
 def permute_outputs(g: GraphTerm, tau: Permutation) -> GraphTerm:
     """Relabel outputs: the old output j becomes the new output tau(j)."""
     if tau.degree != g.m:
         raise GraphError(f"permutation degree {tau.degree} != {g.m} outputs")
-    edges = frozenset(
-        ((src, ("out", tau(dst[1] + 1) - 1)) if dst[0] == "out" else (src, dst))
-        for src, dst in g.edges)
-    return GraphTerm(g.n, g.m, g.vertices, edges)
+    return vertical_compose(g, permutation_graph(tau))
 
 
 def permutation_graph(image) -> GraphTerm:

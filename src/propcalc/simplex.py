@@ -5,8 +5,8 @@ The four generating operations act coordinatewise through the interval
 maps: the diagonal doubles a coordinate into the front/back pair, the
 counit collapses to the empty tuple, the product takes the convex
 combination s*x + (1-s)*y, and the counit homotopy is a reparametrized
-cap.  Exact rationals by default; floats work for experiments, compared
-against a tolerance.
+cap.  Exact rationals by default; float points work for experiments and
+are compared exactly too, since each is mapped exactly (see below).
 
 Every one of these interval maps is continuous, monotone and piecewise
 linear, so a term is compiled once, on its first `eval_term`, into a
@@ -449,26 +449,17 @@ def codegeneracy(p: SimplexPoint, i) -> SimplexPoint:
     return SimplexPoint(xs[:i - 1] + xs[i:])
 
 
-def _as_map(g):
-    if isinstance(g, GraphTerm):
-        return (lambda pts: eval_term(g, pts)), g.n, g.m, term_degree(g)
-    fn, n, m = g
-    return fn, n, m, 0
-
-
-def check_cellular(g, d, samples, rng):
+def check_cellular(g: GraphTerm, d, samples, rng):
     """Sample the operation and report skeleton-level violations.
 
     Cellularity: the total output skeleton level may exceed the total
     input level by at most the dimension of the operation's own cell.
-    `g` is a graph term, or a triple (fn, n, m), checked as a degree-0 cell,
-    for corrupted controls.
     """
-    fn, n, m, degree = _as_map(g)
+    degree = term_degree(g)
     violations = []
     for _ in range(samples):
-        pts = tuple(random_point(rng, d) for _ in range(n))
-        outs = fn(pts)
+        pts = tuple(random_point(rng, d) for _ in range(g.n))
+        outs = eval_term(g, pts)
         lvl_in = sum(p.skeleton_level for p in pts)
         lvl_out = sum(p.skeleton_level for p in outs)
         if lvl_out > lvl_in + degree:
@@ -476,34 +467,26 @@ def check_cellular(g, d, samples, rng):
     return violations
 
 
-def check_naturality(g: GraphTerm, op, index, d, samples, rng, tol=None):
+def check_naturality(g: GraphTerm, op, index, d, samples, rng):
     """Compare the operation across a coface or codegeneracy map.
 
     For delta_i the inputs live in dimension d and the comparison happens
     one dimension up; for sigma_i the inputs live in dimension d+1.
+    Points are mapped exactly, so the two sides are compared for equality.
     Returns the list of counterexamples (empty = natural).
     """
     require_valid(g)
+    if op == "delta":
+        move, dim = coface, d
+    elif op == "sigma":
+        move, dim = codegeneracy, d + 1
+    else:
+        raise GraphError(f"unknown operator {op!r}")
     bad = []
     for _ in range(samples):
-        if op == "delta":
-            pts = tuple(random_point(rng, d) for _ in range(g.n))
-            mapped = tuple(coface(p, index) for p in pts)
-        elif op == "sigma":
-            pts = tuple(random_point(rng, d + 1) for _ in range(g.n))
-            mapped = tuple(codegeneracy(p, index) for p in pts)
-        else:
-            raise GraphError(f"unknown operator {op!r}")
-        lhs = eval_term(g, mapped)
-        rhs = tuple(
-            (coface(p, index) if op == "delta" else codegeneracy(p, index))
-            for p in eval_term(g, pts))
-        if tol is None:
-            equal = lhs == rhs
-        else:
-            equal = all(abs(a - b) <= tol
-                        for pl, pr in zip(lhs, rhs)
-                        for a, b in zip(pl.coords, pr.coords))
-        if not equal:
+        pts = tuple(random_point(rng, dim) for _ in range(g.n))
+        lhs = eval_term(g, tuple(move(p, index) for p in pts))
+        rhs = tuple(move(p, index) for p in eval_term(g, pts))
+        if lhs != rhs:
             bad.append((pts, lhs, rhs))
     return bad

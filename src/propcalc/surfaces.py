@@ -33,7 +33,7 @@ class RibbonGraph:
     def __init__(self):
         self.rotation = {}   # vertex -> list of half ids, cyclic
         self.at = {}         # half of a present edge -> vertex
-        self.edges = {}      # edge id -> dict(tail, head, weight, kind)
+        self.edges = {}      # edge id -> dict(weight, kind)
         self.tags = {}       # vertex -> ("in", i) | ("out", j) | None
         self._next_edge = 0
 
@@ -51,15 +51,13 @@ class RibbonGraph:
         self.at[h2] = v
         self.rotation[u].append(h1)
         self.rotation[v].append(h2)
-        self.edges[e] = {"tail": h1, "head": h2, "weight": weight, "kind": kind}
+        self.edges[e] = {"weight": weight, "kind": kind}
         return e
 
     def remove_edge(self, e):
-        """Drop edge e and its halves from the edge maps; return its data.
-        The halves stay in the rotations."""
-        data = self.edges.pop(e)
-        del self.at[data["tail"]], self.at[data["head"]]
-        return data
+        """Drop edge e and its halves from the edge maps.  The halves stay
+        in the rotations."""
+        del self.edges[e], self.at[2 * e], self.at[2 * e + 1]
 
     def edge_of_half(self, h):
         if h not in self.at:
@@ -119,8 +117,8 @@ def connected_components(rg: RibbonGraph):
             v = parent[v]
         return v
 
-    for data in rg.edges.values():
-        a, b = find(rg.at[data["tail"]]), find(rg.at[data["head"]])
+    for e in rg.edges:
+        a, b = find(rg.at[2 * e]), find(rg.at[2 * e + 1])
         if a != b:
             parent[a] = b
     return {v: find(v) for v in rg.rotation}
@@ -166,8 +164,8 @@ def to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     slot_half = {}
     for src, dst in sorted((s, d) for d, s in work.src.items()):
         e = rg.add_edge(node(src), node(dst), weight=work.weight(dst), kind="strand")
-        slot_half[src] = rg.edges[e]["tail"]
-        slot_half[dst] = rg.edges[e]["head"]
+        slot_half[src] = 2 * e
+        slot_half[dst] = 2 * e + 1
     # rebuild internal rotations in slot order
     for v in range(work.fresh):
         a, b = ARITY[work.kind[v]]
@@ -181,16 +179,18 @@ def _degrees(rg: RibbonGraph):
     """In- and out-degree of every vertex."""
     indeg = dict.fromkeys(rg.rotation, 0)
     outdeg = dict.fromkeys(rg.rotation, 0)
-    for data in rg.edges.values():
-        outdeg[rg.at[data["tail"]]] += 1
-        indeg[rg.at[data["head"]]] += 1
+    for e in rg.edges:
+        outdeg[rg.at[2 * e]] += 1
+        indeg[rg.at[2 * e + 1]] += 1
     return indeg, outdeg
 
 
-def _collapsible(rg: RibbonGraph, data, indeg, outdeg) -> bool:
-    if data["kind"] == "circle":
+def _collapsible(rg: RibbonGraph, e, indeg, outdeg) -> bool:
+    """Whether edge e has exactly one endpoint on a boundary circle and no
+    sibling of the same direction at the interior endpoint."""
+    if rg.edges[e]["kind"] == "circle":
         return False
-    u, w = rg.at[data["tail"]], rg.at[data["head"]]
+    u, w = rg.at[2 * e], rg.at[2 * e + 1]
     boundary_u = rg.tags[u] is not None
     if boundary_u == (rg.tags[w] is not None):
         return False
@@ -198,19 +198,10 @@ def _collapsible(rg: RibbonGraph, data, indeg, outdeg) -> bool:
     return indeg[w] == 1 if boundary_u else outdeg[u] == 1
 
 
-def collapsible_edges(rg: RibbonGraph):
-    """Edges with exactly one endpoint on a boundary circle and no sibling
-    of the same direction at the interior endpoint."""
-    indeg, outdeg = _degrees(rg)
-    return [e for e, data in sorted(rg.edges.items())
-            if _collapsible(rg, data, indeg, outdeg)]
-
-
 def _contract(rg: RibbonGraph, e):
     """Contract edge e of rg in place; return the halves moved onto the
     boundary vertex."""
-    data = rg.edges[e]
-    h_tail, h_head = data["tail"], data["head"]
+    h_tail, h_head = 2 * e, 2 * e + 1
     u, w = rg.at[h_tail], rg.at[h_head]
     if rg.tags[u] is not None:
         keep, gone, h_keep, h_gone = u, w, h_tail, h_head
@@ -229,14 +220,6 @@ def _contract(rg: RibbonGraph, e):
     return spliced
 
 
-def contract_edge(rg: RibbonGraph, e) -> RibbonGraph:
-    """Standard ribbon contraction: splice the interior rotation into the
-    boundary vertex's rotation in place of the contracted half."""
-    rg = rg.copy()
-    _contract(rg, e)
-    return rg
-
-
 def collapse_edges(rg: RibbonGraph) -> RibbonGraph:
     """Contract collapsible edges, smallest id first, until none remain;
     idempotent.
@@ -249,15 +232,15 @@ def collapse_edges(rg: RibbonGraph) -> RibbonGraph:
     """
     rg = rg.copy()
     indeg, outdeg = _degrees(rg)
-    heap = [e for e, data in rg.edges.items() if _collapsible(rg, data, indeg, outdeg)]
+    heap = [e for e in rg.edges if _collapsible(rg, e, indeg, outdeg)]
     heapq.heapify(heap)
     while heap:
         e = heapq.heappop(heap)
-        if not _collapsible(rg, rg.edges[e], indeg, outdeg):
+        if not _collapsible(rg, e, indeg, outdeg):
             continue
         for h in _contract(rg, e):
             e2 = h >> 1
-            if _collapsible(rg, rg.edges[e2], indeg, outdeg):
+            if _collapsible(rg, e2, indeg, outdeg):
                 heapq.heappush(heap, e2)
     return rg
 
@@ -308,12 +291,11 @@ def _arcs(rg: RibbonGraph):
     """(input, output, weight) of each arc of a collapsed graph, ports
     counted from 1, in canonical strand position order."""
     for e in arc_edges_in_position_order(rg):
-        data = rg.edges[e]
-        tin = rg.tags[rg.at[data["tail"]]]
-        tout = rg.tags[rg.at[data["head"]]]
+        tin = rg.tags[rg.at[2 * e]]
+        tout = rg.tags[rg.at[2 * e + 1]]
         if tin is None or tout is None or tin[0] != "in" or tout[0] != "out":
             raise InternalError("strand not between boundary circles")
-        yield tin[1] + 1, tout[1] + 1, data["weight"]
+        yield tin[1] + 1, tout[1] + 1, rg.edges[e]["weight"]
 
 
 def summarize_ribbon(rg: RibbonGraph, boundary: int) -> SurfaceSummary:
@@ -321,8 +303,8 @@ def summarize_ribbon(rg: RibbonGraph, boundary: int) -> SurfaceSummary:
     component = connected_components(rg)
     # V - E + F of each component: edges go by their tail, loops by their first half
     chi = Counter(component.values())
-    for data in rg.edges.values():
-        chi[component[rg.at[data["tail"]]]] -= 1
+    for e in rg.edges:
+        chi[component[rg.at[2 * e]]] -= 1
     for loop in loops:
         chi[component[rg.at[loop[0]]]] += 1
     genus = 0
@@ -370,8 +352,7 @@ def recover_surjection(rg: RibbonGraph, n, m) -> WeightedSurjection:
 def remove_arc(rg: RibbonGraph, e) -> RibbonGraph:
     """Delete one edge, keeping the rotation order of the rest."""
     rg = rg.copy()
-    data = rg.edges[e]
-    for h in (data["tail"], data["head"]):
+    for h in (2 * e, 2 * e + 1):
         rg.rotation[rg.at[h]].remove(h)
     rg.remove_edge(e)
     return rg
@@ -389,8 +370,8 @@ def ribbon_to_dot(rg: RibbonGraph) -> str:
         rot = ",".join(str(h) for h in rg.rotation[v])
         lines.append(f'  {ident} [label="{label} ({rot})"];')
     for e, data in sorted(rg.edges.items()):
-        u = names[rg.at[data["tail"]]]
-        w = names[rg.at[data["head"]]]
+        u = names[rg.at[2 * e]]
+        w = names[rg.at[2 * e + 1]]
         style = "dashed" if data["kind"] == "circle" else "solid"
         lines.append(f'  {u} -- {w} [style={style}, label="{data["weight"]}"];')
     lines.append("}")

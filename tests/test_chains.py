@@ -7,14 +7,14 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from propcalc import chains
-from propcalc.chains import (ChainElement, _staircases, act, act_type, chain_compose,
+from propcalc.chains import (ChainElement, act, act_type, chain_compose,
                              chain_eval, compose_types,
                              cup_i, cup_type, delta_type, differential,
                              diff_type, eps_type,
                              face_boundary, horizontal_chain, identity_type,
                              mu_type, permute_outputs_chain,
                              tensor_boundary)
-from propcalc.complexes import SimplicialComplex, circle, coboundary, rp2
+from propcalc.complexes import SimplicialComplex, _rref, circle, coboundary, rp2
 from propcalc.errors import CompositionError, GraphError
 from propcalc.graphs import NPARAMS, GraphTerm, Permutation, Vertex, plan_of
 from propcalc.surjections import (SurjType, enumerate_basis, expand_graph, normalize,
@@ -98,6 +98,25 @@ def test_d_squared_zero_exhaustive_small():
             for k in range(0, 3):
                 for t in enumerate_basis(n, m, k):
                     assert differential(differential(t)).is_zero()
+
+
+def _one_input_homology(m, top):
+    """GF(2) Betti numbers of the (1, m) chains in degrees 0..top - 1; the
+    ranks of the boundaries diff_type: C_k -> C_(k-1) come from `_rref` on
+    bitmask rows indexed by the basis of C_(k-1)."""
+    bases = [enumerate_basis(1, m, k) for k in range(top + 1)]
+    ranks = [0]
+    for k in range(1, top + 1):
+        index = {t: j for j, t in enumerate(bases[k - 1])}
+        rows = [sum(1 << index[s] for s in diff_type(t)) for t in bases[k]]
+        ranks.append(len(_rref(rows)[0]))
+    return [len(bases[k]) - ranks[k] - ranks[k + 1] for k in range(top)]
+
+
+@pytest.mark.parametrize("m, top", [(1, 5), (2, 5), (3, 5), (4, 4)])
+def test_one_input_chains_are_acyclic_below_the_top_degree(m, top):
+    """The E-infinity claim in arity m: H_0 = F2 and H_k = 0 for 0 < k < top."""
+    assert _one_input_homology(m, top) == [1] + [0] * (top - 1)
 
 
 def test_differential_agrees_with_graph_expansion_route():
@@ -454,6 +473,21 @@ def test_act_type_and_cup_i_leave_no_cyclic_garbage():
 
 
 # --- oracle: compose_types with a counit-capping prologue ---------------------
+
+def _staircases(p, q):
+    """Monotone lattice paths from (0,0) to (p-1,q-1), as index pairs."""
+    steps = p + q - 2
+    for a_positions in combinations(range(steps), p - 1):
+        path = [(0, 0)]
+        ia = ib = 0
+        for s in range(steps):
+            if s in a_positions:
+                ia += 1
+            else:
+                ib += 1
+            path.append((ia, ib))
+        yield path
+
 
 def _old_cap_type(t: SurjType, j: int):
     """Remove output j, which must own a single strand; None if degenerate."""

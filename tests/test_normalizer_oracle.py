@@ -469,8 +469,8 @@ def _old_to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     slot_half = {}
     for src, dst in sorted((s, d) for d, s in work.src.items()):
         e = rg.add_edge(node(src), node(dst), weight=work.w[dst], kind="strand")
-        slot_half[src] = rg.edges[e]["tail"]
-        slot_half[dst] = rg.edges[e]["head"]
+        slot_half[src] = 2 * e
+        slot_half[dst] = 2 * e + 1
     # rebuild internal rotations in slot order
     for v in range(work.fresh):
         a, b = ARITY[work.kind[v]]

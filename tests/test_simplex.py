@@ -244,10 +244,13 @@ def test_cellularity_counts_the_cell_dimension():
     assert out.skeleton_level == 1  # exceeds the inputs' total of 0
 
 
-def test_corrupted_map_reported():
-    bad = ((lambda pts: (SimplexPoint(tuple(x / 3 for x in pts[0].coords)),)), 1, 1)
-    rng = random.Random(74)
-    assert check_cellular(bad, 1, 300, rng)
+def test_corrupted_map_reported(monkeypatch):
+    g = unit(1)
+    assert check_cellular(g, 1, 300, random.Random(74)) == []
+    # shrinking every coordinate by 3 moves the vertex 1 into the open edge
+    monkeypatch.setattr(simplex, "eval_term", lambda term, points, d=None: tuple(
+        SimplexPoint(tuple(x / 3 for x in p.coords)) for p in points))
+    assert check_cellular(g, 1, 300, random.Random(74))
 
 
 def test_naturality_all_generators_small_dims():
@@ -262,10 +265,26 @@ def test_naturality_all_generators_small_dims():
                 assert check_naturality(g, "sigma", i, d, 25, rng) == []
 
 
-def test_float_mode_naturality_with_tolerance():
+def test_float_points_commute_exactly_with_cofaces_and_codegeneracies():
+    """Float points are mapped exactly and rounded once, so evaluation
+    commutes with every coface and codegeneracy without a tolerance."""
     rng = random.Random(76)
-    g = corolla("mu", (F(1, 3),))
-    assert check_naturality(g, "delta", 0, 2, 20, rng, tol=1e-12) == []
+    g = parse("delta ; (delta | h(2/5)) ; (mu(1/3) | id)")
+
+    def float_point(dim):
+        return SimplexPoint(tuple(sorted(rng.random() for _ in range(dim))))
+
+    for d in range(4):
+        for _ in range(20):
+            p = float_point(d)
+            for i in range(d + 2):
+                assert eval_term(g, (coface(p, i),)) == tuple(
+                    coface(q, i) for q in eval_term(g, (p,)))
+            p = float_point(d + 1)
+            assert any(type(x) is float for q in eval_term(g, (p,)) for x in q.coords)
+            for i in range(1, d + 2):
+                assert eval_term(g, (codegeneracy(p, i),)) == tuple(
+                    codegeneracy(q, i) for q in eval_term(g, (p,)))
 
 
 def test_coface_and_codegeneracy_formulas():
@@ -674,9 +693,12 @@ def test_each_map_is_stored_once_as_integer_knots_over_their_least_scale():
     (lambda: codegeneracy(SimplexPoint((F(1, 2),)), 2), "codegeneracy index 2 outside 1..1"),
     (lambda: check_naturality(corolla("delta"), "x", 0, 1, 1, random.Random(0)),
      "unknown operator 'x'"),
+    (lambda: check_naturality(corolla("delta"), "foo", 0, 1, 0, random.Random(0)),
+     "unknown operator 'foo'"),
     (lambda: eval_generator("foo", None, ()), "unknown generator 'foo'"),
     (lambda: face_action("foo", ()), "unknown generator 'foo'"),
-], ids=["codegeneracy-index", "naturality-operator", "eval-generator", "face-action"])
+], ids=["codegeneracy-index", "naturality-operator", "naturality-operator-no-sample",
+        "eval-generator", "face-action"])
 def test_guards_name_the_problem(call, message):
     with pytest.raises(GraphError) as info:
         call()

@@ -11,7 +11,7 @@ from propcalc.surjections import (SurjType, WeightedSurjection, _Work, canonical
                                   random_stype, random_weights, random_ws,
                                   uniform_weights)
 from propcalc.surfaces import (RibbonGraph, arc_edges_in_position_order,
-                               collapse_edges, collapsible_edges, contract_edge,
+                               collapse_edges,
                                recover_surjection, remove_arc, ribbon_loops,
                                ribbon_to_dot, summarize_ribbon, surface_summary,
                                svg_sketch, to_ribbon)
@@ -82,7 +82,7 @@ def test_collapse_idempotent_and_stable():
     for _ in range(100):
         x = random_ws(rng, max_n=3, max_m=3, max_degree=3)
         rg = collapse_edges(to_ribbon(x))
-        assert collapsible_edges(rg) == []
+        assert _old_collapsible_edges(rg) == []
         again = collapse_edges(rg)
         assert len(again.edges) == len(rg.edges)
         assert len(again.rotation) == len(rg.rotation)
@@ -183,20 +183,20 @@ def _old_collapsible_edges(rg):
     for e, data in sorted(rg.edges.items()):
         if data["kind"] == "circle":
             continue
-        u, w = rg.at[data["tail"]], rg.at[data["head"]]
+        u, w = rg.at[2 * e], rg.at[2 * e + 1]
         boundary_u = rg.tags[u] is not None
         boundary_w = rg.tags[w] is not None
         if boundary_u == boundary_w:
             continue
         interior = w if boundary_u else u
-        incoming = rg.at[data["head"]] == interior
+        incoming = w == interior
         siblings = 0
-        for e2, d2 in rg.edges.items():
+        for e2 in rg.edges:
             if e2 == e:
                 continue
-            if incoming and rg.at[d2["head"]] == interior:
+            if incoming and rg.at[2 * e2 + 1] == interior:
                 siblings += 1
-            if not incoming and rg.at[d2["tail"]] == interior:
+            if not incoming and rg.at[2 * e2] == interior:
                 siblings += 1
         if siblings == 0:
             out.append(e)
@@ -205,8 +205,8 @@ def _old_collapsible_edges(rg):
 
 def _old_contract_edge(rg, e):
     rg = rg.copy()
-    data = rg.edges.pop(e)
-    h_tail, h_head = data["tail"], data["head"]
+    del rg.edges[e]
+    h_tail, h_head = 2 * e, 2 * e + 1
     u, w = rg.at[h_tail], rg.at[h_head]
     if rg.tags[u] is not None:
         keep, gone, h_keep, h_gone = u, w, h_tail, h_head
@@ -239,14 +239,11 @@ def _state(rg):
 
 def _assert_collapse_matches_the_oracle(rg):
     before = _state(rg.copy())
-    assert collapsible_edges(rg) == _old_collapsible_edges(rg)
     new = collapse_edges(rg)
     assert _state(rg) == before  # the input is left alone
     assert _state(new) == _state(_old_collapse_edges(rg))
-    for e, d in new.edges.items():
-        assert new.edge_of_half(d["tail"]) == new.edge_of_half(d["head"]) == e
-    for e in _old_collapsible_edges(rg)[:2]:
-        assert _state(contract_edge(rg, e)) == _state(_old_contract_edge(rg, e))
+    for e in new.edges:
+        assert new.edge_of_half(2 * e) == new.edge_of_half(2 * e + 1) == e
 
 
 def test_collapse_matches_the_oracle_on_every_small_basis_type():
@@ -303,20 +300,20 @@ def test_collapse_contracts_the_smallest_collapsible_edge_first():
     rg.add_vertex("x")
     first = rg.add_edge("in", "x")
     rg.add_edge("x", "out")
-    assert collapsible_edges(rg) == [first, first + 1]
+    assert _old_collapsible_edges(rg) == [first, first + 1]
     collapsed = collapse_edges(rg)
     assert set(collapsed.rotation) == {"in", "out"}
     assert collapsed.edges == {first + 1: rg.edges[first + 1]}
-    assert collapsed.at[rg.edges[first + 1]["tail"]] == "in"
+    assert collapsed.at[2 * (first + 1)] == "in"
 
 
 def test_half_edge_map_follows_edits():
     x = uniform_weights(SurjType(1, 2, ((1, 2, 1),)))
     rg = collapse_edges(to_ribbon(x))
-    for e, data in rg.edges.items():
-        assert rg.edge_of_half(data["tail"]) == rg.edge_of_half(data["head"]) == e
+    for e in rg.edges:
+        assert rg.edge_of_half(2 * e) == rg.edge_of_half(2 * e + 1) == e
     e = arc_edges_in_position_order(rg)[0]
-    gone = rg.edges[e]["tail"]
+    gone = 2 * e
     rg2 = remove_arc(rg, e)
     assert rg.edge_of_half(gone) == e
     with pytest.raises(InternalError):
@@ -417,8 +414,8 @@ def _old_to_ribbon(x: WeightedSurjection) -> RibbonGraph:
     for src, dst in sorted(g.edges):
         e = rg.add_edge(node(src), node(dst), weight=weights[dst],
                         kind="strand")
-        slot_half[src] = rg.edges[e]["tail"]
-        slot_half[dst] = rg.edges[e]["head"]
+        slot_half[src] = 2 * e
+        slot_half[dst] = 2 * e + 1
     for v, slots in order.items():
         rg.rotation[v] = [slot_half[s] for s in slots]
     rg.check()
@@ -427,8 +424,7 @@ def _old_to_ribbon(x: WeightedSurjection) -> RibbonGraph:
 
 def _ribbon_data(rg):
     """Everything a ribbon graph holds, in insertion order, weights with their type."""
-    edges = [(e, d["tail"], d["head"], d["weight"], type(d["weight"]), d["kind"])
-             for e, d in rg.edges.items()]
+    edges = [(e, d["weight"], type(d["weight"]), d["kind"]) for e, d in rg.edges.items()]
     return (list(rg.rotation.items()), list(rg.tags.items()), edges,
             list(rg.at.items()), rg._next_edge)
 
