@@ -9,9 +9,11 @@ The action on chains of a standard simplex splits each input face into
 consecutive overlapping pieces (the iterated diagonal), routes the pieces
 by the assignment, and joins each output's pieces into the face spanned
 by their union, zero whenever two pieces share a vertex (the interval-cut
-formulas of McClure-Smith).  `act_type` enumerates the cut points by
-backtracking and abandons a partial placement at the first shared vertex,
-so the overlapping combinations are never built.  `cup_i` computes the
+formulas of McClure-Smith).  `act_type` enumerates the cut points by a
+depth-first search on an explicit stack and abandons a partial placement
+at the first shared vertex, so the overlapping combinations are never
+built; each complete placement reads its faces from a per-call table of
+label tuples indexed by vertex mask.  `cup_i` computes the
 cut pattern of the cup-i cell once per call, on (0, ..., n), and relabels
 it through each n-simplex (following Medina-Mardones' treatment of cup-i
 products as index patterns on a simplex).
@@ -207,18 +209,38 @@ def chain_eval(g: GraphTerm) -> ChainElement:
 # ---------------------------------------------------------------------------
 # action on simplicial chains
 
+# above this many distinct labels a call does not build its 2^L span table;
+# it converts each vertex mask it meets once instead
+SPAN_TABLE_LABELS = 8
+
+
+class _Spans(dict):
+    """The sorted label tuple of each vertex mask, made on first use."""
+
+    def __init__(self, labels):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, mask):
+        span = self[mask] = tuple(v for j, v in enumerate(self.labels) if mask >> j & 1)
+        return span
+
+
 def act_type(t: SurjType, faces) -> frozenset:
     """Apply one basis cell to a tuple of faces; result is a set of
     m-tuples of faces (the F2 sum).
 
     This is the interval-cut description of the action.  Cut points are
-    placed block by block, and each output keeps the vertex set of the
-    pieces routed to it so far, as a bitmask.  A piece stops growing as
-    soon as it repeats a vertex or meets its output's set: every longer
-    piece overlaps too, so that branch contributes zero.  The last piece of
-    a block is forced (it runs to the end of the face) and is checked in
-    one step.  Each complete placement adds its tuple of sorted unions
-    mod 2.
+    placed block by block, by a depth-first search on an explicit stack, so
+    a cell with many pieces needs no interpreter recursion.  Each output
+    keeps the vertex set of the pieces routed to it so far, as a bitmask.
+    A piece stops growing as soon as it repeats a vertex or meets its
+    output's set: every longer piece overlaps too, so that branch
+    contributes zero.  The last piece of a block is forced (it runs to the
+    end of the face) and is checked in one step.  Each complete placement
+    adds its tuple of sorted unions mod 2, read from a span table indexed
+    by vertex mask (built by doubling over the sorted labels; above
+    `SPAN_TABLE_LABELS` labels each mask met is converted once instead).
     """
     if len(faces) != t.n:
         raise GraphError(f"expected {t.n} tensor factors, got {len(faces)}")
@@ -226,7 +248,8 @@ def act_type(t: SurjType, faces) -> frozenset:
     bit = {v: 1 << j for j, v in enumerate(labels)}
     masks = [0] * t.m
     # every piece but the last of its block, as (output, vertex bits of its
-    # face, tails, output of the next piece, whether that one ends the block)
+    # face, their number, tails, output of the next piece, whether that one
+    # ends the block)
     pieces = []
     for blk, face in zip(t.blocks, faces):
         if not blk:
@@ -248,53 +271,71 @@ def act_type(t: SurjType, faces) -> frozenset:
             masks[o] |= tails[0]
             continue
         for u in range(len(blk) - 1):
-            pieces.append((blk[u] - 1, bits, tails, blk[u + 1] - 1, u == len(blk) - 2))
-    found = set()
-    total = len(pieces)
+            pieces.append((blk[u] - 1, bits, len(bits), tails, blk[u + 1] - 1,
+                           u == len(blk) - 2))
+    if len(labels) > SPAN_TABLE_LABELS:
+        span = _Spans(labels)
+    else:
+        span = [()]
+        for v in labels:
+            span += [s + (v,) for s in span]
+    span_of = span.__getitem__
+    if not pieces:
+        return frozenset((tuple(map(span_of, masks)),))
 
-    def place(i, start):
-        o, bits, tails, o2, closes = pieces[i]
-        old = acc = masks[o]
-        for e in range(start, len(bits)):
+    found = set()
+    last = len(pieces) - 1
+    # one frame per piece being grown: (piece, next end, its output's mask so
+    # far, that mask before the piece, the next output's mask to restore)
+    stack = []
+    i = e = 0
+    o, bits, n, tails, o2, closes = pieces[0]
+    old = acc = masks[o]
+    while True:
+        if e < n and not acc & bits[e]:
             b = bits[e]
-            if acc & b:
-                break
             acc |= b
+            e += 1
             masks[o] = acc
             m2 = masks[o2]
             if not closes:
-                if not m2 & b:  # the next piece starts at e
-                    place(i + 1, e)
+                if not m2 & b:  # the next piece starts where this one ends
+                    stack.append((i, e, acc, old, m2))
+                    i += 1
+                    e -= 1
+                    o, bits, n, tails, o2, closes = pieces[i]
+                    old = acc = m2
                 continue
-            tail = tails[e]
+            tail = tails[e - 1]
             if tail is None or m2 & tail:
                 continue
             masks[o2] = m2 | tail
-            if i + 1 < total:
-                place(i + 1, 0)
-            else:  # a complete placement, added mod 2
-                found.symmetric_difference_update((tuple(masks),))
+            if i < last:  # the next block starts at its first vertex
+                stack.append((i, e, acc, old, m2))
+                i += 1
+                e = 0
+                o, bits, n, tails, o2, closes = pieces[i]
+                old = acc = masks[o]
+                continue
+            # a complete placement, added mod 2
+            found.symmetric_difference_update((tuple(map(span_of, masks)),))
             masks[o2] = m2
-        masks[o] = old
-
-    if pieces:
-        place(0, 0)
-    else:
-        found.add(tuple(masks))
-    place = None  # the closure refers to itself: break the cycle
-    pairs = tuple(zip(labels, bit.values()))
-    spans = {mask: tuple(v for v, b in pairs if mask & b)
-             for mask in {mask for key in found for mask in key}}
-    return frozenset(tuple(map(spans.__getitem__, key)) for key in found)
+            continue
+        masks[o] = old  # this piece can grow no further: resume the one before
+        if not stack:
+            return frozenset(found)
+        i, e, acc, old, m2 = stack.pop()
+        o, bits, n, tails, o2, closes = pieces[i]
+        masks[o2] = m2
 
 
 def act(x: ChainElement, tensors) -> frozenset:
     """F2-linear extension of act_type over a set of input tensors."""
-    out = frozenset()
+    out = set()
     for tensor in tensors:
         for t in x.support:
-            out ^= act_type(t, tensor)
-    return out
+            out.symmetric_difference_update(act_type(t, tensor))
+    return frozenset(out)
 
 
 def face_boundary(face) -> frozenset:

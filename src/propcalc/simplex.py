@@ -477,11 +477,13 @@ def check_naturality(g: GraphTerm, op, index, d, samples, rng):
     """
     require_valid(g)
     if op == "delta":
-        move, dim = coface, d
+        move, dim, name, low = coface, d, "coface", 0
     elif op == "sigma":
-        move, dim = codegeneracy, d + 1
+        move, dim, name, low = codegeneracy, d + 1, "codegeneracy", 1
     else:
         raise GraphError(f"unknown operator {op!r}")
+    if not low <= index <= d + 1:  # as `move` would raise, but before any sample
+        raise GraphError(f"{name} index {index} outside {low}..{d + 1}")
     bad = []
     for _ in range(samples):
         pts = tuple(random_point(rng, dim) for _ in range(g.n))

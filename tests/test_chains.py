@@ -383,6 +383,53 @@ def test_act_matches_brute_force_with_counit_blocks():
             assert act_type(t, faces) == brute_force_act(t, faces), (t, faces)
 
 
+def test_act_matches_brute_force_beyond_the_span_table():
+    # 9 to 12 distinct labels, more than a call tabulates by vertex mask
+    rng = random.Random(211)
+
+    def labels():
+        return sorted(rng.sample(range(30), rng.randint(9, 12)))
+
+    def cells(n, m, k, count):
+        basis = enumerate_basis(n, m, k)
+        return rng.sample(basis, min(count, len(basis)))
+
+    cases = []
+    for m, k in product((1, 2, 3), range(4)):  # n = 1 on one long face
+        cases += [(t, (tuple(labels()),)) for t in cells(1, m, k, 12)]
+    for m, k in product((1, 2), range(3)):  # n = 2 on two disjoint faces
+        for t in cells(2, m, k, 12):
+            vs = labels()
+            cut = rng.randint(3, len(vs) - 3)
+            cases.append((t, (tuple(vs[:cut]), tuple(vs[cut:]))))
+    # n = 3 on three disjoint faces, 12 labels
+    cases.append((SurjType(3, 2, ((1, 2), (2, 1), (1,))),
+                  ((0, 3, 5, 9), (1, 2, 6, 10), (4, 7, 8, 11))))
+    nonzero = 0
+    for t, faces in cases:
+        assert len({v for face in faces for v in face}) > chains.SPAN_TABLE_LABELS
+        result = act_type(t, faces)
+        assert result == brute_force_act(t, faces), (t, faces)
+        nonzero += bool(result)
+    assert len(cases) > 70 and nonzero > 60
+
+
+def test_act_calls_act_type_through_the_module_once_per_tensor_and_cell(monkeypatch):
+    x = ChainElement(1, 2, 1, frozenset(enumerate_basis(1, 2, 1)))
+    tensors = [((0, 1, 2),), ((0, 2),), ((1,),), ((0, 1, 2, 3),)]
+    expected = act(x, tensors)
+    calls = []
+
+    def counted(t, tensor):
+        calls.append((t, tensor))
+        return act_type(t, tensor)
+
+    monkeypatch.setattr(chains, "act_type", counted)
+    assert chains.act(x, tensors) == expected
+    assert len(calls) == len(tensors) * len(x.support)
+    assert set(calls) == set(product(x.support, tensors))
+
+
 def brute_force_cup(i, a, b, complex_):
     """cup_i by one brute-force action per simplex."""
     pa = len(next(iter(a))) - 1

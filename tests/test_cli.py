@@ -422,10 +422,24 @@ def test_python_m_propcalc_reports_an_error_without_a_traceback():
     assert proc.stdout == ""
 
 
-def test_an_act_too_deep_for_the_interpreter_exits_1_without_a_traceback():
-    # ten layers of deltas: a (1,1024) term whose cell places 1023 pieces
+def test_an_act_on_ten_layers_of_deltas_prints_its_one_term():
+    # a (1,1024) term whose cell places 1023 pieces, more than the
+    # interpreter's recursion limit: the cut search runs on its own stack
     term = " ; ".join(" | ".join(["delta"] * 2 ** k) for k in range(10))
     proc = _module_run("act", "--term", term, "--face", "0")
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    assert proc.returncode == 0
+    assert proc.stdout == " (x) ".join(["[0]"] * 1024) + "\n"
+    assert proc.stderr == ""
+
+
+def _raise_recursion(args):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_a_computation_too_deep_for_the_interpreter_exits_1_without_a_traceback(
+        capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_render", _raise_recursion)
+    assert run(["normalize", "delta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: computation too deep for the interpreter\n"

@@ -695,9 +695,14 @@ def test_each_map_is_stored_once_as_integer_knots_over_their_least_scale():
      "unknown operator 'x'"),
     (lambda: check_naturality(corolla("delta"), "foo", 0, 1, 0, random.Random(0)),
      "unknown operator 'foo'"),
+    (lambda: check_naturality(corolla("delta"), "delta", 99, 1, 0, random.Random(0)),
+     "coface index 99 outside 0..2"),
+    (lambda: check_naturality(corolla("delta"), "sigma", 0, 1, 0, random.Random(0)),
+     "codegeneracy index 0 outside 1..2"),
     (lambda: eval_generator("foo", None, ()), "unknown generator 'foo'"),
     (lambda: face_action("foo", ()), "unknown generator 'foo'"),
 ], ids=["codegeneracy-index", "naturality-operator", "naturality-operator-no-sample",
+        "naturality-coface-index-no-sample", "naturality-codegeneracy-index-no-sample",
         "eval-generator", "face-action"])
 def test_guards_name_the_problem(call, message):
     with pytest.raises(GraphError) as info:
