@@ -15,9 +15,11 @@ Each wire carries a base (an input, or a mix of two earlier values) and
 one map of [0,1]: a diagonal or homotopy composes into the map, a product
 of two wires on the same base folds the two maps into one, and a product
 of two different bases becomes a new mix.  Output j is then
-x -> (f_j(x_1), ..., f_j(x_d)) on its base.  The program keeps every map
-once, as integer knots over the lcm D of their denominators and one exact
-(slope, intercept) pair per segment.  Evaluating is one bisection of
+x -> (f_j(x_1), ..., f_j(x_d)) on its base.  The compile does its
+arithmetic on reduced (numerator, denominator) int pairs and builds a
+Fraction only for a slope or intercept it stores.  The program keeps every
+map once, as integer knots over the lcm D of their denominators and one
+exact (slope, intercept) pair per segment.  Evaluating is one bisection of
 floor(x*D) among the integer knots, which picks the same segment as x
 among the exact knots, and at most one exact a*x + b per coordinate for
 each mix side and each output; a float coordinate is mapped exactly at
@@ -30,7 +32,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, or_
 from typing import NamedTuple
 
@@ -211,13 +213,16 @@ def eval_term(g: GraphTerm, points, d=None):
 #
 # While `_compile` builds it, a map is (knots, segments): the interior
 # knots 0 < t_1 < ... < t_k < 1 and k+1 pairs (a, b), the map being a*x + b
-# on [t_i, t_{i+1}] with t_0 = 0 and t_{k+1} = 1.  Adjacent segments always
+# on [t_i, t_{i+1}] with t_0 = 0 and t_{k+1} = 1.  Each of these rationals
+# is a reduced int pair (numerator, denominator) with a positive
+# denominator, so equal values are equal pairs; adjacent segments always
 # differ, so the knots are exactly the breaks.  The program keeps each map
 # once, in integer form (D, K, segments): D is the lcm of the knots'
 # denominators and K the integers t_i*D, so the exact knots are K/D and x
 # lies in segment #{K_i <= floor(x*D)}, which `_apply` finds by bisection
-# on ints.  A zero slope is stored as (None, b), and a zero intercept beside
-# a nonzero slope as (a, None).
+# on ints.  Its slopes and intercepts are Fractions, the only ones the
+# compile builds; a zero slope is stored as (None, b), and a zero
+# intercept beside a nonzero slope as (a, None).
 
 
 class Program(NamedTuple):
@@ -234,23 +239,55 @@ class Program(NamedTuple):
     outputs: tuple  # (base, map) per output
 
 
-_HALF = Fraction(1, 2)
-_IDENTITY = ((), ((Fraction(1), Fraction(0)),))
-_FRONT = ((_HALF,), ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1))))
-_BACK = ((_HALF,), ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
+def _mul(p, q):
+    """p*q on reduced pairs, reduced by the two cross gcds."""
+    (a, b), (c, d) = p, q
+    g, h = gcd(a, d), gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _add(p, q):
+    """p + q on reduced pairs."""
+    (a, b), (c, d) = p, q
+    n, m = (a + c, b) if b == d else (a * d + c * b, b * d)
+    g = gcd(n, m)
+    return n // g, m // g
+
+
+def _sub_div(p, q, r):
+    """(p - q)/r on reduced pairs, r positive."""
+    (a, b), (c, d), (e, f) = p, q, r
+    n, m = (a * d - c * b) * f, b * d * e
+    g = gcd(n, m)
+    return n // g, m // g
+
+
+def _le(p, q):
+    return p[0] * q[1] <= q[0] * p[1]
+
+
+_ZERO, _ONE, _HALF = (0, 1), (1, 1), (1, 2)
+_IDENTITY = ((), ((_ONE, _ZERO),))
+_FRONT = ((_HALF,), ((_ZERO, _ZERO), ((2, 1), (-1, 1))))
+_BACK = ((_HALF,), (((2, 1), _ZERO), (_ZERO, _ONE)))
 _INT_IDENTITY = (1, (), ((Fraction(1), None),))
 
 
 def _generator_maps(kind, s):
-    """The interval maps of a one-input generator, one per output."""
+    """The interval maps of a one-input generator, one per output, for the
+    parameter s = n/d given as its reduced pair."""
     if kind == "delta":
         return (_FRONT, _BACK)
     if kind == "eps":
         return ()
-    if kind == "id" or (kind == "phi" and s == 0):
+    if kind == "id" or (kind == "phi" and s[0] == 0):
         return (_IDENTITY,)
     if kind == "phi":
-        return (((1 - s / 2,), ((2 / (2 - s), Fraction(0)), (Fraction(0), Fraction(1)))),)
+        # the knot 1 - s/2 = (2d - n)/(2d) and the slope 2/(2 - s) = 2d/(2d - n)
+        n, d = s
+        g = gcd(2 * d - n, 2 * d)
+        knot = ((2 * d - n) // g, 2 * d // g)
+        return (((knot,), ((knot[::-1], _ZERO), (_ZERO, _ONE))),)
     raise GraphError(f"no interval map for generator {kind!r}")
 
 
@@ -273,19 +310,19 @@ def _compose_maps(outer, inner):
     ik, isegs = inner
     knots, segments = [], []
     j = 0
-    left, lo = 0, isegs[0][1]  # a segment's left end and the value there
+    left, lo = _ZERO, isegs[0][1]  # a segment's left end and the value there
     for i, (a, b) in enumerate(isegs):
-        right = ik[i] if i < len(ik) else 1
-        hi = a * right + b if a else b
-        while j < len(ok) and ok[j] <= lo:
+        right = ik[i] if i < len(ik) else _ONE
+        hi = _add(_mul(a, right), b) if a[0] else b
+        while j < len(ok) and _le(ok[j], lo):
             j += 1
         x = left
         while True:
             c, e = osegs[j]
-            _extend(knots, segments, x, (c * a, c * b + e) if c else (c, e))
-            if j == len(ok) or ok[j] >= hi:
+            _extend(knots, segments, x, (_mul(c, a), _add(_mul(c, b), e)) if c[0] else (c, e))
+            if j == len(ok) or _le(hi, ok[j]):
                 break
-            x = (ok[j] - b) / a
+            x = _sub_div(ok[j], b, a)
             j += 1
         left, lo = right, hi
     return tuple(knots), tuple(segments)
@@ -293,17 +330,17 @@ def _compose_maps(outer, inner):
 
 def _convex_maps(s, f, g):
     """x -> s*f(x) + (1-s)*g(x), merging the two knot lists in one walk."""
-    t = 1 - s
+    t = (s[1] - s[0], s[1])
     (fk, fsegs), (gk, gsegs) = f, g
     knots, segments = [], []
     i = j = 0
-    x = 0
+    x = _ZERO
     while True:
         (a, b), (c, e) = fsegs[i], gsegs[j]
-        _extend(knots, segments, x, (s * a + t * c, s * b + t * e))
+        _extend(knots, segments, x, (_add(_mul(s, a), _mul(t, c)), _add(_mul(s, b), _mul(t, e))))
         if i == len(fk) and j == len(gk):
             return tuple(knots), tuple(segments)
-        if j == len(gk) or (i < len(fk) and fk[i] <= gk[j]):
+        if j == len(gk) or (i < len(fk) and _le(fk[i], gk[j])):
             x = fk[i]
         else:
             x = gk[j]
@@ -315,19 +352,19 @@ def _convex_maps(s, f, g):
 
 def _scaled(c, f):
     """x -> c*f(x), as the linear map x -> c*x after f."""
-    return _compose_maps(((), ((c, Fraction(0)),)), f)
+    return _compose_maps(((), ((c, _ZERO),)), f)
 
 
 def _integer_form(f):
     """The map f as (D, K, segments), its knots scaled to the integers K and
-    each zero slope or intercept marked None."""
+    each slope and intercept a Fraction, or None where it is zero."""
     if f is _IDENTITY:
         return _INT_IDENTITY
     knots, segments = f
-    scale = lcm(*(t.denominator for t in knots))
-    return (scale, tuple(t.numerator * (scale // t.denominator) for t in knots),
-            tuple((None, b) if not a else (a, None) if not b else (a, b)
-                  for a, b in segments))
+    scale = lcm(*(d for _, d in knots))
+    return (scale, tuple(n * (scale // d) for n, d in knots),
+            tuple((None, Fraction(*b)) if not a[0] else (Fraction(*a), None) if not b[0]
+                  else (Fraction(*a), Fraction(*b)) for a, b in segments))
 
 
 def _apply(f, xs):
@@ -353,8 +390,9 @@ def _compile(g, plan):
     for v in plan.order:
         vert = g.vertices[v]
         ins = [value.pop(("vi", v, k)) for k in range(vert.arity[0])]
+        # the parameter as its reduced pair (n, d)
+        s = (vert.params[0].numerator, vert.params[0].denominator) if vert.params else None
         if vert.kind == "mu":
-            s = vert.params[0]
             (a, f), (b, h) = ins
             if reads[a] != reads[b]:
                 joins[min(reads[a], reads[b]), max(reads[a], reads[b])] = None
@@ -362,12 +400,11 @@ def _compile(g, plan):
                 outs = ((a, _convex_maps(s, f, h)),)
             else:
                 mixes.append(((a, _integer_form(_scaled(s, f))),
-                              (b, _integer_form(_scaled(1 - s, h)))))
+                              (b, _integer_form(_scaled((s[1] - s[0], s[1]), h)))))
                 reads.append(reads[a])
                 outs = ((len(reads) - 1, _IDENTITY),)
         else:
             ((base, f),) = ins
-            s = vert.params[0] if vert.params else None
             outs = tuple((base, _compose_maps(h, f)) for h in _generator_maps(vert.kind, s))
         for k, out in enumerate(outs):
             value[plan.tgt[("vo", v, k)]] = out

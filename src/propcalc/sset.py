@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .errors import GraphError
+from .errors import GraphError, ParseError
 from .graphs import GraphTerm
 from .simplex import SimplexPoint, codegeneracy, coface, eval_term
 
@@ -65,6 +65,8 @@ class SimplicialSet:
                     raise GraphError(f"missing face d_{j} of {c.name}")
 
     def nondegenerate(self, name) -> FormalCell:
+        if name not in self.cells:
+            raise GraphError(f"unknown cell {name!r}")
         return FormalCell((), self.cells[name])
 
     def face(self, fc: FormalCell, j) -> FormalCell:
@@ -101,6 +103,16 @@ class SimplicialSet:
         return FormalCell(tuple(word), fc.base)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"simplicial set: key {key!r} given twice")
+        doc[key] = value
+    return doc
+
+
 def sset_from_json(text) -> SimplicialSet:
     """Load a finitely presented simplicial set.
 
@@ -108,15 +120,64 @@ def sset_from_json(text) -> SimplicialSet:
              "faces": {"name": [[ [degeneracy word], base name], ...]}}
     with one face entry per index 0..dim for every positive-dimensional
     cell; degeneracy words are standard indices, outermost first.
+
+    The document is checked here, where it enters: cell names are distinct
+    strings and dimensions nonnegative ints; a cell of dimension n > 0 has
+    exactly n + 1 faces and a vertex none; and each face of an n-cell is
+    an admissible degeneracy word on a declared cell, of dimension n - 1.
+    A malformed document raises ParseError, and one that is well formed
+    but not a simplicial set raises GraphError.
     """
-    doc = json.loads(text)
-    cells = [Cell(name, dim) for name, dim in doc["cells"]]
-    dims = {c.name: c.dim for c in cells}
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # also a number past the int digit limit
+        raise ParseError(f"simplicial set: not JSON ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
+        raise ParseError('simplicial set: expected an object with a "cells" list')
+    listed = doc.get("faces", {})
+    if not isinstance(listed, dict):
+        raise ParseError('simplicial set: "faces" must be an object')
+    dims = {}
+    for entry in doc["cells"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and type(entry[1]) is int and entry[1] >= 0):
+            raise ParseError(f"simplicial set: cell {json.dumps(entry)} "
+                             "is not a [name, dimension] pair")
+        name, dim = entry
+        if name in dims:
+            raise GraphError(f"duplicate cell {name!r}")
+        dims[name] = dim
+    for name in listed:
+        if name not in dims:
+            raise GraphError(f"faces given for undeclared cell {name!r}")
     faces = {}
-    for name, entries in doc.get("faces", {}).items():
-        for j, (word, base) in enumerate(entries):
-            faces[(name, j)] = FormalCell(tuple(word), Cell(base, dims[base]))
-    return SimplicialSet(cells, faces)
+    for name, dim in dims.items():
+        entries = listed.get(name, [])
+        if not isinstance(entries, list):
+            raise ParseError(f"simplicial set: faces of {name!r} must be a list")
+        need = dim + 1 if dim else 0
+        if len(entries) != need:
+            raise GraphError(f"cell {name!r} of dimension {dim} needs {need} faces, "
+                             f"got {len(entries)}")
+        for j, entry in enumerate(entries):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)
+                    and all(type(k) is int and k >= 0 for k in entry[0])
+                    and isinstance(entry[1], str)):
+                raise ParseError(f"simplicial set: face d_{j} of {name!r} is not a "
+                                 "[degeneracy word, base name] pair")
+            word, base = entry
+            if base not in dims:
+                raise GraphError(f"face d_{j} of {name!r}: unknown cell {base!r}")
+            fc = FormalCell(tuple(word), Cell(base, dims[base]))
+            if fc.dim != dim - 1:
+                raise GraphError(f"face d_{j} of {name!r} has dimension {fc.dim}, "
+                                 f"not {dim - 1}")
+            # the outermost s_k acts on a cell of dimension fc.dim - 1
+            if word and word[0] >= fc.dim:
+                raise GraphError(f"face d_{j} of {name!r}: degeneracy s_{word[0]} "
+                                 f"outside 0..{fc.dim - 1}")
+            faces[(name, j)] = fc
+    return SimplicialSet([Cell(name, dim) for name, dim in dims.items()], faces)
 
 
 def sset_to_json(ss: SimplicialSet) -> str:

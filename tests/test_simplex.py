@@ -393,9 +393,10 @@ def _parameter(rng):
     return rng.choice((F(0), F(1), F(rng.randint(1, 15), 16)))
 
 
-def _random_term(rng, n, vertices, max_width=6):
+def _random_term(rng, n, vertices, max_width=6, parameter=_parameter):
     """A valid (n,m) term of exactly `vertices` vertices, layer by layer,
-    over delta, phi, id, eps and mu, with parameters 0 and 1 among them."""
+    over delta, phi, id, eps and mu, each parameter drawn by `parameter`
+    (by default with 0 and 1 among them)."""
     g = unit(n)
     width = n
     for step in range(vertices):
@@ -412,7 +413,7 @@ def _random_term(rng, n, vertices, max_width=6):
             g = vertical_compose(g, permutation_graph(tuple(image)))
         a, b = ARITY[kind]
         gen = ID_VERTEX if kind == "id" else corolla(
-            kind, (_parameter(rng),) if kind in ("mu", "phi") else ())
+            kind, (parameter(rng),) if kind in ("mu", "phi") else ())
         pos = rng.randint(0, width - a)
         g = vertical_compose(g, horizontal_compose([unit(pos), gen, unit(width - pos - a)]))
         width += b - a
@@ -687,6 +688,86 @@ def test_each_map_is_stored_once_as_integer_knots_over_their_least_scale():
             assert sum(_exact(f)[1][-1]) + sum(_exact(h)[1][-1]) == 1
             mixed += 1
     assert maps > 400 and mixed > 50 and marked > 100
+
+
+ODD_DENOMINATORS = (3, 5, 7, 9, 11, 13, 31, 97)
+
+
+def _odd_parameter(rng):
+    """0, 1, or k/q for an odd q, reduced, so that most denominators are
+    coprime to each other and to the knots' powers of 2."""
+    q = rng.choice(ODD_DENOMINATORS)
+    return rng.choice((F(0), F(1), F(rng.randint(1, q - 1), q), F(rng.randint(1, q - 1), q)))
+
+
+def _assert_canonical(f):
+    """A stored map (D, K, segments) in its one form: D the least common
+    scale of its knots, K strictly inside (0, D), each slope and intercept a
+    nonzero Fraction or a None marker, and continuous, monotone, distinct
+    segments with f(0) = 0."""
+    scale, ints, stored = f
+    assert type(scale) is int and all(type(k) is int for k in ints)
+    assert list(ints) == sorted(set(ints)) and all(0 < k < scale for k in ints)
+    assert scale == math.lcm(*(F(k, scale).denominator for k in ints))
+    for a, b in stored:
+        assert a is not None or type(b) is F
+        assert a is None or (type(a) is F and a > 0 and (b is None or (type(b) is F and b != 0)))
+    knots, segments = _exact(f)
+    assert len(segments) == len(knots) + 1
+    for t, (a, b), (c, e) in zip(knots, segments, segments[1:]):
+        assert a * t + b == c * t + e and (a, b) != (c, e)
+    assert segments[0][1] == 0
+
+
+def test_odd_coprime_parameters_compile_to_canonical_maps_that_match_the_interpreter():
+    rng = random.Random(713)
+    denominators = set()
+    scales = set()
+    negative = 0
+    for k in range(420):
+        g = _random_term(rng, 1 + k % 3, rng.randint(4, 60), parameter=_odd_parameter)
+        denominators.update(p.denominator for v in g.vertices for p in v.params)
+        d = k % 5
+        first = tuple(random_point(rng, d) for _ in range(g.n))
+        assert g._maps is None
+        assert eval_term(g, first) == interpret(g, first)
+        for _ in range(2):
+            points = _special_points(rng, g, d)
+            assert eval_term(g, points) == interpret(g, points)
+        program = g._maps
+        for f in _stored_maps(program):
+            _assert_canonical(f)
+            scales.add(f[0])
+            negative += any(b is not None and b < 0 for _, b in f[2])
+        for _, f in program.outputs:
+            assert sum(_exact(f)[1][-1]) == 1  # f(1) = 1
+        for (_, f), (_, h) in program.mixes:
+            assert sum(_exact(f)[1][-1]) + sum(_exact(h)[1][-1]) == 1
+    assert set(ODD_DENOMINATORS) | {1} <= denominators
+    assert any(scale % 97 == 0 for scale in scales) and any(scale % 31 == 0 for scale in scales)
+    assert negative > 100
+
+
+def test_the_compiler_keeps_no_state_between_calls():
+    def snapshot():
+        return {name: (value, len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(simplex).items()}
+
+    before = snapshot()
+    rng = random.Random(714)
+    for k in range(200):
+        parameter = _odd_parameter if k % 2 else _parameter
+        g = _random_term(rng, 1 + k % 3, rng.randint(1, 40), parameter=parameter)
+        twin = GraphTerm(g.n, g.m, g.vertices, g.edges)
+        assert g == twin and g._maps is None and twin._maps is None
+        eval_term(g, tuple(random_point(rng, 2) for _ in range(g.n)))
+        eval_term(twin, tuple(random_point(rng, 1) for _ in range(g.n)))
+        assert g._maps == twin._maps and g._maps is not twin._maps
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for name, (value, size) in before.items():
+        assert after[name][0] is value, name
+        assert after[name][1] == size, name
 
 
 @pytest.mark.parametrize("call, message", [

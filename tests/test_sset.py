@@ -1,14 +1,15 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from propcalc.errors import GraphError
+from propcalc.errors import GraphError, ParseError
 from propcalc.simplex import SimplexPoint, random_point
 from propcalc.sset import (Cell, FormalCell, RealizationPoint, SimplicialSet,
                            apply_word_to_point, canonicalize,
                            from_complex, pull_back_cell, realization_act,
-                           standard_sset)
+                           sset_from_json, sset_to_json, standard_sset)
 from propcalc.terms import parse
 
 
@@ -171,3 +172,83 @@ def test_guards_name_the_problem(call, message):
     with pytest.raises(GraphError) as info:
         call()
     assert str(info.value) == message
+
+
+def _document(cells, faces=None):
+    doc = {"cells": cells}
+    if faces is not None:
+        doc["faces"] = faces
+    return json.dumps(doc)
+
+
+CIRCLE_CELLS = [["pt", 0], ["e", 1]]
+
+MALFORMED_DOCUMENTS = [
+    ("{}", ParseError, 'simplicial set: expected an object with a "cells" list'),
+    ("[1]", ParseError, 'simplicial set: expected an object with a "cells" list'),
+    ('{"cells": 3}', ParseError, 'simplicial set: expected an object with a "cells" list'),
+    ("{", ParseError, "simplicial set: not JSON (Expecting property name enclosed in double "
+                      "quotes: line 1 column 2 (char 1))"),
+    ('{"cells": [], "cells": []}', ParseError, "simplicial set: key 'cells' given twice"),
+    (_document([["pt", 0], ["e"]]), ParseError,
+     'simplicial set: cell ["e"] is not a [name, dimension] pair'),
+    (_document([["pt", -1]]), ParseError,
+     'simplicial set: cell ["pt", -1] is not a [name, dimension] pair'),
+    (_document([["pt", True]]), ParseError,
+     'simplicial set: cell ["pt", true] is not a [name, dimension] pair'),
+    (_document([[0, 0]]), ParseError,
+     "simplicial set: cell [0, 0] is not a [name, dimension] pair"),
+    (_document(CIRCLE_CELLS, []), ParseError,
+     'simplicial set: "faces" must be an object'),
+    (_document(CIRCLE_CELLS, {"e": "pt"}), ParseError,
+     "simplicial set: faces of 'e' must be a list"),
+    (_document(CIRCLE_CELLS, {"e": [[[], "pt"], ["pt"]]}), ParseError,
+     "simplicial set: face d_1 of 'e' is not a [degeneracy word, base name] pair"),
+    (_document(CIRCLE_CELLS, {"e": [[[], "pt"], [[-1], "pt"]]}), ParseError,
+     "simplicial set: face d_1 of 'e' is not a [degeneracy word, base name] pair"),
+    (_document([["pt", 0], ["pt", 0]]), GraphError, "duplicate cell 'pt'"),
+    (_document([["pt", 0]], {"e": [[[], "pt"], [[], "pt"]]}), GraphError,
+     "faces given for undeclared cell 'e'"),
+    (_document(CIRCLE_CELLS, {"e": [[[], "pt"]] * 3}), GraphError,
+     "cell 'e' of dimension 1 needs 2 faces, got 3"),
+    (_document(CIRCLE_CELLS, {"e": [[[], "pt"]]}), GraphError,
+     "cell 'e' of dimension 1 needs 2 faces, got 1"),
+    (_document(CIRCLE_CELLS), GraphError, "cell 'e' of dimension 1 needs 2 faces, got 0"),
+    (_document(CIRCLE_CELLS, {"e": [[[], "pt"], [[], "pt"]], "pt": [[[], "pt"]]}), GraphError,
+     "cell 'pt' of dimension 0 needs 0 faces, got 1"),
+    (_document(CIRCLE_CELLS, {"e": [[[], "pt"], [[], "x"]]}), GraphError,
+     "face d_1 of 'e': unknown cell 'x'"),
+    (_document(CIRCLE_CELLS + [["f", 1]], {"e": [[[], "f"], [[], "pt"]], "f": [[[], "pt"]] * 2}),
+     GraphError, "face d_0 of 'e' has dimension 1, not 0"),
+    (_document(CIRCLE_CELLS + [["t", 2]], {"e": [[[], "pt"]] * 2, "t": [[[], "pt"]] * 3}),
+     GraphError, "face d_0 of 't' has dimension 0, not 1"),
+    (_document(CIRCLE_CELLS + [["t", 2]], {"e": [[[], "pt"]] * 2, "t": [[[0, 1], "pt"]] * 3}),
+     GraphError, "degeneracy word (0, 1) not admissible"),
+    (_document(CIRCLE_CELLS + [["t", 2]], {"e": [[[], "pt"]] * 2, "t": [[[1], "pt"]] * 3}),
+     GraphError, "face d_0 of 't': degeneracy s_1 outside 0..0"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_DOCUMENTS,
+                         ids=[f"doc{k}" for k in range(len(MALFORMED_DOCUMENTS))])
+def test_the_reader_refuses_documents_that_are_not_simplicial_sets(text, error, message):
+    with pytest.raises(error) as info:
+        sset_from_json(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_reader_accepts_degenerate_faces_and_the_standard_simplex():
+    doc = _document(CIRCLE_CELLS + [["t", 2]],
+                    {"e": [[[], "pt"]] * 2, "t": [[[0], "pt"], [[], "e"], [[], "e"]]})
+    ss = sset_from_json(doc)
+    t = ss.nondegenerate("t")
+    assert ss.face(t, 0) == ss.degeneracy(ss.nondegenerate("pt"), 0)
+    assert sset_to_json(sset_from_json(sset_to_json(ss))) == sset_to_json(ss)
+    simplex3 = standard_sset(3)
+    assert sset_to_json(sset_from_json(sset_to_json(simplex3))) == sset_to_json(simplex3)
+
+
+def test_an_unknown_cell_name_is_a_graph_error():
+    with pytest.raises(GraphError) as info:
+        circle_sset().nondegenerate("x")
+    assert str(info.value) == "unknown cell 'x'"
