@@ -161,10 +161,51 @@ def _kahn(nverts, src, key):
                          + str([v for v, d in enumerate(indegree) if d]))
 
 
+def _forward_slots(g, src, arities):
+    """None unless every target and source in `src` is a slot of g: a known
+    tag, plain `int` indices, and a slot in range.  Otherwise whether every
+    edge between vertices runs to a higher vertex index."""
+    nv = len(arities)
+    forward = True
+    try:
+        for dst, s in src.items():
+            if dst[0] == "vi":
+                _, v, k = dst
+                if not (type(v) is int and type(k) is int and 0 <= v < nv
+                        and 0 <= k < arities[v][0]):
+                    return None
+            else:
+                tag, j = dst
+                if tag != "out" or type(j) is not int or not 0 <= j < g.m:
+                    return None
+            if s[0] == "vo":
+                _, u, k = s
+                if not (type(u) is int and type(k) is int and 0 <= u < nv
+                        and 0 <= k < arities[u][1]):
+                    return None
+                if dst[0] == "vi" and u >= v:
+                    forward = False
+            else:
+                tag, i = s
+                if tag != "in" or type(i) is not int or not 0 <= i < g.n:
+                    return None
+    except (TypeError, ValueError):  # an endpoint that is not a tuple of a slot's length
+        return None
+    return forward
+
+
 def validate(g: GraphTerm) -> list:
     """Return a list of violation strings; empty means the term is valid.
 
     A valid term gets its plan here, once; a term that has one is valid.
+    After the "wired twice" checks, one pass over the edges accepts the
+    term when every target and every source is one of its slots (a known
+    tag, plain `int` indices in range, a slot below its vertex's arity)
+    and the counts equal m plus the in-arities and n plus the out-arities.
+    Only a term that fails that pass has its expected slots built, to name
+    what is wrong.  When every edge between vertices runs to a higher
+    index, as in every parsed term, the default order is the index order
+    and is stored without running the heap.
     """
     if g._plan is not None:
         return []
@@ -179,28 +220,39 @@ def validate(g: GraphTerm) -> list:
             return [f"source endpoint {s} wired twice"]
         tgt[s] = dst
 
-    expected_targets = {("out", j) for j in range(g.m)}
-    expected_sources = {("in", i) for i in range(g.n)}
-    for v, vert in enumerate(g.vertices):
-        a, b = vert.arity
-        expected_targets.update(("vi", v, k) for k in range(a))
-        expected_sources.update(("vo", v, k) for k in range(b))
-    problems = []
-    for found, expected, what in ((src, expected_targets, "targets"),
-                                  (tgt, expected_sources, "sources")):
-        missing = expected - found.keys()
-        extra = found.keys() - expected
-        if missing:
-            problems.append(f"unwired {what}: {sorted(missing)}")
-        if extra:
-            problems.append(f"bad slot arity, unexpected {what}: {sorted(extra)}")
-    if problems:
+    arities = [vert.arity for vert in g.vertices]
+    forward = None
+    if (len(src) == g.m + sum(a for a, _ in arities)
+            and len(tgt) == g.n + sum(b for _, b in arities)):
+        forward = _forward_slots(g, src, arities)
+    if forward is None:
+        expected_targets = {("out", j) for j in range(g.m)}
+        expected_sources = {("in", i) for i in range(g.n)}
+        for v, (a, b) in enumerate(arities):
+            expected_targets.update(("vi", v, k) for k in range(a))
+            expected_sources.update(("vo", v, k) for k in range(b))
+        problems = []
+        for found, expected, what in ((src, expected_targets, "targets"),
+                                      (tgt, expected_sources, "sources")):
+            missing = expected - found.keys()
+            extra = found.keys() - expected
+            # equal to a slot, so the sets take it, but indexed by 0.0 or False
+            not_int = [ep for ep in found if ep in expected
+                       and any(type(x) is not int for x in ep[1:])]
+            if missing:
+                problems.append(f"unwired {what}: {sorted(missing)}")
+            if extra:
+                problems.append(f"bad slot arity, unexpected {what}: {sorted(extra)}")
+            if not_int:
+                problems.append(f"non-int index in {what}: {sorted(not_int)}")
         return problems
-
-    try:
-        order = tuple(_kahn(len(g.vertices), src, int))
-    except GraphError as exc:
-        return [str(exc)]
+    if forward:
+        order = tuple(range(len(arities)))
+    else:
+        try:
+            order = tuple(_kahn(len(arities), src, int))
+        except GraphError as exc:
+            return [str(exc)]
     object.__setattr__(g, "_plan", Plan(MappingProxyType(src), MappingProxyType(tgt), order))
     return []
 

@@ -277,13 +277,23 @@ def enumerate_basis(n: int, m: int, degree: int):
     for _ in range(r - n + 1):
         words.append([w + (f,) for w in words[-1] for f in range(1, m + 1)
                       if not w or w[-1] != f])
-    results = []
+    found = []
     for cuts in combinations(range(1, r), n - 1):
         bounds = (0,) + cuts + (r,)
         for blocks in product(*(words[b - a] for a, b in zip(bounds, bounds[1:]))):
             if len(set(chain.from_iterable(blocks))) == m:
-                results.append(SurjType(n, m, blocks))
-    return sorted(results, key=lambda t: t.blocks)
+                found.append(blocks)
+    found.sort()
+    return [_built_type(n, m, blocks) for blocks in found]
+
+
+def _built_type(n, m, blocks):
+    """The SurjType of blocks that are already a valid assignment (n blocks
+    on 1..m, no adjacent repeat, every output hit), without the checks of
+    `SurjType.__post_init__`; only `enumerate_basis` builds cells this way."""
+    t = object.__new__(SurjType)
+    t.__dict__.update(n=n, m=m, blocks=blocks)
+    return t
 
 
 # ---------------------------------------------------------------------------

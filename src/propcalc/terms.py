@@ -13,14 +13,16 @@ Grammar (whitespace insignificant)::
 permutation graph routing input j to output l[j]; they differ only in how
 one reads them (pre- versus post-composition).  "h" is the counit homotopy.
 
-Atoms parse to light descriptors (a permutation image, a `Vertex`, or the
-graph term of a parenthesized term), and each layer is built as one graph
-term in one left-to-right pass.  A through-strand edge (("in", i),
-("out", j)) is built once per parse, in a table the parser owns, and
-shared by every layer that wires input i to output j.  The layers of a
-term are checked for arity as they are read and then joined pairwise by
-`vertical_compose`, which is associative on this representation: the
-vertex order and the edge set are those of the left-to-right fold.
+Each layer is built as one graph term in one left-to-right loop over its
+tokens, which dispatches on each atom's first token once and appends that
+atom's edges and vertex straight away; only a parameter, an int list and
+a parenthesized term are read by a method of their own.  A through-strand
+edge (("in", i), ("out", j)) is built once per parse, in a table the
+parser owns, and shared by every layer that wires input i to output j.
+The layers of a term are checked for arity as they are read and then
+joined pairwise by `vertical_compose`, which is associative on this
+representation: the vertex order and the edge set are those of the
+left-to-right fold.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .graphs import GraphTerm, Permutation, Vertex, _shift_endpoint, vertical_co
 # group 1 is a token; a character that starts none matches with group 1 empty
 _TOKEN = re.compile(r"\s*(?:(mu|h|id|eps|delta|swap|sigma|tau|\d+|[();|\[\],/])|\S)")
 
-# atoms without arguments; a tuple is a permutation image, read as the
-# vertex-free layer wiring input j to output image[j-1]
-_FIXED_ATOMS = {"id": (1,), "swap": (2, 1), "eps": Vertex("eps"), "delta": Vertex("delta")}
+# the vertices of "eps" and "delta", shared by every parse
+_EPS, _DELTA = Vertex("eps"), Vertex("delta")
 _PARAM_KINDS = {"mu": "mu", "h": "phi"}
 
 
@@ -109,60 +110,82 @@ class _Parser:
         self.take("]")
         return items
 
-    def atom(self):
-        """A permutation image, a Vertex, or the GraphTerm of "( term )"."""
-        tok = self.take()
-        fixed = _FIXED_ATOMS.get(tok)
-        if fixed is not None:
-            return fixed
-        if tok in _PARAM_KINDS:
-            self.take("(")
-            s = self.rational()
-            self.take(")")
-            return Vertex(_PARAM_KINDS[tok], (s,))
-        if tok in ("sigma", "tau"):
-            return Permutation(tuple(self.int_list())).image
-        if tok == "(":
-            t = self.term()
-            self.take(")")
-            return t
-        raise ParseError(f"unexpected token {tok!r}")
-
     def par(self):
-        """One layer, built left to right as a single graph term."""
-        atoms = [self.atom()]
-        while self.tokens[self.i] == "|":
-            self.i += 1
-            atoms.append(self.atom())
-        if len(atoms) == 1 and isinstance(atoms[0], GraphTerm):
-            return atoms[0]
+        """One layer, built left to right as a single graph term in one
+        loop over its atoms' tokens; a lone "( term )" is that term."""
+        tokens = self.tokens
+        strands = self.strands
+        i = self.i
         vertices = []
         edges = []
         n = m = 0
-        strands = self.strands
-        for a in atoms:
-            if isinstance(a, tuple):
-                if len(a) == 1:
-                    edges.append(strands[n, m])
-                else:
-                    edges += [strands[n + i, m + j - 1] for i, j in enumerate(a)]
-                n += len(a)
-                m += len(a)
-            elif isinstance(a, Vertex):
+        while True:
+            tok = tokens[i]
+            i += 1
+            if tok == "id":
+                edges.append(strands[n, m])
+                n += 1
+                m += 1
+            elif tok == "sigma" or tok == "tau":
+                self.i = i
+                image = Permutation(tuple(self.int_list())).image
+                i = self.i
+                edges += [strands[n + k, m + j - 1] for k, j in enumerate(image)]
+                n += len(image)
+                m += len(image)
+            elif tok == "mu" or tok == "h":
+                self.i = i
+                self.take("(")
+                s = self.rational()
+                self.take(")")
+                i = self.i
                 dv = len(vertices)
-                k_in, k_out = a.arity
-                edges += [(("in", n + k), ("vi", dv, k)) for k in range(k_in)]
-                edges += [(("vo", dv, k), ("out", m + k)) for k in range(k_out)]
-                vertices.append(a)
-                n += k_in
-                m += k_out
-            else:
+                vertices.append(Vertex(_PARAM_KINDS[tok], (s,)))
+                edges.append((("in", n), ("vi", dv, 0)))
+                if tok == "mu":
+                    n += 1
+                    edges.append((("in", n), ("vi", dv, 1)))
+                edges.append((("vo", dv, 0), ("out", m)))
+                n += 1
+                m += 1
+            elif tok == "delta":
+                dv = len(vertices)
+                vertices.append(_DELTA)
+                edges += ((("in", n), ("vi", dv, 0)), (("vo", dv, 0), ("out", m)),
+                          (("vo", dv, 1), ("out", m + 1)))
+                n += 1
+                m += 2
+            elif tok == "eps":
+                edges.append((("in", n), ("vi", len(vertices), 0)))
+                vertices.append(_EPS)
+                n += 1
+            elif tok == "swap":
+                edges += (strands[n, m + 1], strands[n + 1, m])
+                n += 2
+                m += 2
+            elif tok == "(":
+                self.i = i
+                t = self.term()
+                self.take(")")
+                i = self.i
+                # alone in its layer: n is 0 only before the first atom,
+                # since every atom has an input
+                if n == 0 and tokens[i] != "|":
+                    return t
                 dv = len(vertices)
                 edges += [(_shift_endpoint(src, dv, n, m), _shift_endpoint(dst, dv, n, m))
-                          for src, dst in a.edges]
-                vertices += a.vertices
-                n += a.n
-                m += a.m
+                          for src, dst in t.edges]
+                vertices += t.vertices
+                n += t.n
+                m += t.m
+            elif tok is None:
+                raise ParseError(f"unexpected end of term {self.text!r}")
+            else:
+                raise ParseError(f"unexpected token {tok!r}")
+            if tokens[i] != "|":
+                break
+            i += 1
+        self.i = i
         return GraphTerm(n, m, tuple(vertices), frozenset(edges))
 
     def term(self):

@@ -1,19 +1,25 @@
+import json
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from types import MappingProxyType
 
 import pytest
 
 from propcalc.errors import CompositionError, GraphError, InternalError
-from propcalc.graphs import (GraphTerm, Permutation, Vertex, Wiring, absorb_equivalences,
-                             canonical_form, from_json, horizontal_compose,
-                             iso_equal, permutation_graph, permute_inputs,
-                             permute_outputs, to_dot, to_json, topological_order,
-                             unit, validate, vertical_compose)
+from propcalc.graphs import (GraphTerm, Permutation, Plan, Vertex, Wiring, _kahn,
+                             absorb_equivalences, canonical_form, from_json,
+                             horizontal_compose, iso_equal, permutation_graph,
+                             permute_inputs, permute_outputs, to_dot, to_json,
+                             topological_order, unit, validate, vertical_compose)
 from propcalc.chains import chain_eval
 from propcalc.generators import corolla
 from propcalc.simplex import eval_term, parse_point
-from propcalc.surjections import random_sterm
+from propcalc.surjections import (expand_graph, normalize, random_sterm, random_ws,
+                                  shuffle_relations)
+from propcalc.terms import parse
 
 
 def brute_force_iso(g1, g2):
@@ -318,3 +324,208 @@ def test_constructor_guards_name_the_problem(call, message):
     with pytest.raises(GraphError) as info:
         call()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# oracle: the set-based `validate` body that the one-pass check replaced,
+# copied unchanged; it stores its plan on the term it is given
+
+def _set_based_validate(g: GraphTerm) -> list:
+    if g._plan is not None:
+        return []
+    src = {}
+    for s, dst in g.edges:
+        if dst in src:
+            return [f"target endpoint {dst} wired twice"]
+        src[dst] = s
+    tgt = {}
+    for dst, s in src.items():
+        if s in tgt:
+            return [f"source endpoint {s} wired twice"]
+        tgt[s] = dst
+
+    expected_targets = {("out", j) for j in range(g.m)}
+    expected_sources = {("in", i) for i in range(g.n)}
+    for v, vert in enumerate(g.vertices):
+        a, b = vert.arity
+        expected_targets.update(("vi", v, k) for k in range(a))
+        expected_sources.update(("vo", v, k) for k in range(b))
+    problems = []
+    for found, expected, what in ((src, expected_targets, "targets"),
+                                  (tgt, expected_sources, "sources")):
+        missing = expected - found.keys()
+        extra = found.keys() - expected
+        if missing:
+            problems.append(f"unwired {what}: {sorted(missing)}")
+        if extra:
+            problems.append(f"bad slot arity, unexpected {what}: {sorted(extra)}")
+    if problems:
+        return problems
+
+    try:
+        order = tuple(_kahn(len(g.vertices), src, int))
+    except GraphError as exc:
+        return [str(exc)]
+    object.__setattr__(g, "_plan", Plan(MappingProxyType(src), MappingProxyType(tgt), order))
+    return []
+
+
+def _validated_like_the_oracle(g):
+    """validate's problems for a fresh copy of g, and that copy, after
+    checking that the oracle finds the same problems or the same plan."""
+    fresh, oracle = (GraphTerm(g.n, g.m, g.vertices, g.edges) for _ in range(2))
+    problems = validate(fresh)
+    assert problems == _set_based_validate(oracle), g
+    if problems:
+        assert fresh._plan is None
+    else:
+        plans = [(list(p.src.items()), list(p.tgt.items()), p.order)
+                 for p in (fresh._plan, oracle._plan)]
+        assert plans[0] == plans[1], g
+    return problems, fresh
+
+
+def _seeded_text(rng, layers, params, with_h=True):
+    """Term-language text of up to `layers` layers over every atom, with
+    each parameter drawn from `params`; "h" only when `with_h`."""
+    width = rng.randint(1, 4)
+    texts = []
+    for _ in range(layers):
+        atoms, left, out = [], width, 0
+        while left:
+            r = rng.random()
+            if r < 0.15 and out < 6:
+                atoms.append("delta")
+                left, out = left - 1, out + 2
+            elif r < 0.3 and left >= 2:
+                atoms.append(f"mu({rng.choice(params)})")
+                left, out = left - 2, out + 1
+            elif r < 0.38 and with_h:
+                atoms.append(f"h({rng.choice(params)})")
+                left, out = left - 1, out + 1
+            elif r < 0.45 and (out or left > 1):
+                atoms.append("eps")
+                left -= 1
+            elif r < 0.52 and left >= 2:
+                atoms.append("swap")
+                left, out = left - 2, out + 2
+            elif r < 0.62:
+                image = list(range(1, rng.randint(1, left) + 1))
+                rng.shuffle(image)
+                atoms.append(f"{rng.choice(['sigma', 'tau'])}[{','.join(map(str, image))}]")
+                left, out = left - len(image), out + len(image)
+            elif r < 0.67:
+                atoms.append("(delta ; (id | id) ; mu(1/3))")
+                left, out = left - 1, out + 1
+            else:
+                atoms.append("id")
+                left, out = left - 1, out + 1
+        texts.append(" | ".join(atoms))
+        width = out
+    return " ; ".join(texts)
+
+
+def _rebuilt(g, edges, perm=None):
+    """g with the given edges, its vertices renumbered by `perm` if given."""
+    if perm is None:
+        return GraphTerm(g.n, g.m, g.vertices, frozenset(edges))
+
+    def ren(ep):
+        return (ep[0], perm[ep[1]], ep[2]) if ep[0] in ("vi", "vo") else ep
+
+    vertices = [None] * len(g.vertices)
+    for v, vert in enumerate(g.vertices):
+        vertices[perm[v]] = vert
+    return GraphTerm(g.n, g.m, tuple(vertices),
+                     frozenset((ren(s), ren(d)) for s, d in edges))
+
+
+def _corruptions(g, rng):
+    """Seeded copies of the valid term g: an edge dropped, a target fed
+    twice, a target and a source moved out of range, a source feeding two
+    targets, the vertices renumbered (edges backward in index order, still
+    acyclic) and, on the renumbered term, two targets' sources swapped
+    (which may close a cycle)."""
+    edges = sorted(g.edges)
+    nv = len(g.vertices)
+    k = rng.randrange(len(edges))
+    s, d = edges[k]
+    rest = edges[:k] + edges[k + 1:]
+    bad_targets = [("out", g.m), ("out", -1), ("vi", nv, 0)]
+    bad_targets += [("vi", v, vert.arity[0]) for v, vert in enumerate(g.vertices)]
+    bad_sources = [("in", g.n), ("in", -1), ("vo", nv, 0)]
+    bad_sources += [("vo", v, vert.arity[1]) for v, vert in enumerate(g.vertices)]
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    out = [_rebuilt(g, rest),
+           _rebuilt(g, edges + [(rng.choice(edges)[0], d)]),
+           _rebuilt(g, rest + [(s, rng.choice(bad_targets))]),
+           _rebuilt(g, rest + [(rng.choice(bad_sources), d)]),
+           _rebuilt(g, edges, perm)]
+    if len(edges) >= 2:
+        d2 = edges[k - 1][1]
+        out.append(_rebuilt(g, [e for e in edges if e[1] != d2] + [(s, d2)]))
+        i, j = rng.sample(range(len(edges)), 2)
+        swapped = list(edges)
+        swapped[i], swapped[j] = (edges[i][0], edges[j][1]), (edges[j][0], edges[i][1])
+        out.append(_rebuilt(g, swapped, perm))
+    return out
+
+
+def test_validate_matches_the_set_based_body(monkeypatch):
+    """Parsed terms, every term `Wiring.to_term` exports while normalizing,
+    expanding and shuffling seeded inputs, and corruptions of each."""
+    exported = []
+    to_term = Wiring.to_term
+
+    def recording(work):
+        exported.append(to_term(work))
+        return exported[-1]
+
+    monkeypatch.setattr(Wiring, "to_term", recording)
+    rng = random.Random(71)
+    params = ["0", "1", "1/2", "007/016", "2/3"]
+    terms = [parse(_seeded_text(rng, rng.randint(1, 40), params)) for _ in range(600)]
+    for _ in range(400):
+        normalize(parse(_seeded_text(rng, rng.randint(2, 16), ["0", "1", "1/2"], with_h=False)))
+    normalizing = len(exported)
+    for _ in range(700):
+        shuffle_relations(expand_graph(random_ws(rng)), rng, rng.randint(1, 8))
+    terms += exported
+    assert normalizing >= 150 and len(terms) >= 2000
+    seen = Counter()
+    for g in terms:
+        assert _validated_like_the_oracle(g)[0] == []
+        for bad in _corruptions(g, rng):
+            problems, fresh = _validated_like_the_oracle(bad)
+            for p in problems:
+                seen[p.split(" ")[0]] += 1
+            if not problems:
+                in_index_order = fresh._plan.order == tuple(range(len(fresh.vertices)))
+                seen["valid, index order" if in_index_order else "valid, Kahn order"] += 1
+    assert all(seen[kind] >= 100 for kind in ("unwired", "bad", "target", "source", "directed",
+                                              "valid, index order", "valid, Kahn order")), seen
+
+
+@pytest.mark.parametrize("g, problems", [
+    (GraphTerm(1, 1, (Vertex("phi", (Fraction(1, 2),)),), frozenset({
+        (("in", 0), ("vi", 0.0, 0)), (("vo", 0, 0), ("out", 0))})),
+     ["non-int index in targets: [('vi', 0.0, 0)]"]),
+    (GraphTerm(2, 2, (), frozenset({(("in", 0), ("out", 0)), (("in", 1), ("out", 1.0))})),
+     ["non-int index in targets: [('out', 1.0)]"]),
+    (GraphTerm(2, 1, (), frozenset({(("in", False), ("out", 0))})),
+     ["unwired sources: [('in', 1)]", "non-int index in sources: [('in', False)]"]),
+], ids=["vertex-slot", "output", "bool"])
+def test_validate_requires_plain_int_indices(g, problems):
+    assert validate(g) == problems and g._plan is None
+
+
+def test_from_json_rejects_float_indices():
+    doc = json.loads(to_json(corolla("delta")))
+    doc["edges"][0][0][1] = 1.0
+    with pytest.raises(GraphError, match=re.escape("non-int index in sources: [('in', 0.0)]")):
+        from_json(json.dumps(doc))
+    doc = json.loads(to_json(corolla("delta")))
+    doc["edges"][-1][1][1] = 2.0
+    with pytest.raises(GraphError, match=re.escape("non-int index in targets: [('out', 1.0)]")):
+        from_json(json.dumps(doc))

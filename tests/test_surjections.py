@@ -296,6 +296,19 @@ def test_enumerate_basis_matches_brute_force():
                 assert [t.blocks for t in got] == _brute_basis(n, m, degree), (n, m, degree)
 
 
+def test_enumerated_cells_are_the_checked_constructor_cells():
+    """The cells `enumerate_basis` builds without `SurjType`'s checks equal,
+    hash and print like the checked cells of the same blocks."""
+    sizes = [(n, m, k) for n in range(1, 4) for m in range(4) for k in range(4)]
+    for n, m, k in sizes + [(1, 5, k) for k in range(4)]:
+        got = enumerate_basis(n, m, k)
+        checked = [SurjType(n, m, blocks) for blocks in _brute_basis(n, m, k)]
+        assert got == checked, (n, m, k)
+        assert [hash(t) for t in got] == [hash(t) for t in checked]
+        assert [repr(t) for t in got] == [repr(t) for t in checked]
+        assert all(type(t) is SurjType and t.degree == k for t in got)
+
+
 def test_zero_weight_strand_boundary():
     x = W(1, 2, [(1, 2, 1)], [(0, 1, 1)])
     assert canonicalize_ws(x) == W(1, 2, [(2, 1)], [(1, 1)])

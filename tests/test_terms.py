@@ -2,6 +2,7 @@ import ast
 import pathlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -402,3 +403,96 @@ def test_parse_matches_the_oracle_on_long_terms():
     assert parsed >= 60 and nested >= 60
     assert min(layer_counts) >= 100 and max(layer_counts) <= 300
     assert max(layer_counts) >= 250
+
+
+def _assert_same_message_as_oracle(text):
+    """`_assert_same_as_oracle`, with every error's message compared too;
+    returns the parsed term or the error's type and message."""
+    outcomes = []
+    for parser in (parse, old_parse):
+        try:
+            outcomes.append(parser(text))
+        except (ParseError, GraphError, CompositionError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], text
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("text", [
+    "mu(007/016)", "h(007/016)", "mu(10/16) ; h(0003/00004)", "delta ; (mu(015/0100) | h(1))",
+    "mu( 3 / 16 )", "h (\n1 /2 )", "delta ; mu ( 0 )", "mu(1/0)", "h(5/3)", "mu(1/ 0) ; h(1)",
+    "mu(" + "1" * 5000 + "/2)", "h(1/" + "7" * 5000 + ")", "mu(3/4", "mu 3/4)", "h(/2)",
+    "h(1/2/3)", "swap | sigma[2,1]", "sigma[3,1,2] | swap ; swap | tau[1,3,2]",
+    "swap|sigma[1]", "(swap | sigma[2,1]) ; sigma[4,3,2,1]", "swap | sigma[2,2]",
+], ids=["mu-leading-zeros", "h-leading-zeros", "multi-digit", "nested-leading-zeros",
+        "spaced", "spaced-newline", "spaced-integer", "zero-denominator", "h-above-one",
+        "spaced-zero-denominator", "long-numerator", "long-denominator", "unclosed-rational",
+        "no-paren", "no-numerator", "two-slashes", "swap-sigma", "sigma-swap-tau",
+        "swap-sigma-1", "nested-swap-sigma", "swap-bad-sigma"])
+def test_parse_matches_the_oracle_at_each_atom(text):
+    _assert_same_message_as_oracle(text)
+
+
+def _rational(rng):
+    """A parameter as the compose inputs spell it, sometimes padded with
+    zeros or spaced out."""
+    q = rng.choice([2, 3, 16, 48, 256, 4096])
+    text = rng.choice(["0", "1", f"{rng.randint(0, q)}/{q}", f"{rng.randint(1, q - 1)}/{q}"])
+    if rng.random() < 0.1:
+        text = "/".join("0" * rng.randint(1, 3) + part for part in text.split("/"))
+    if rng.random() < 0.1:
+        text = " " + text.replace("/", " / ") + " "
+    return text
+
+
+def _pool_shaped_term(rng, layers):
+    """Layers like a rendered compose input: one vertex per layer among
+    "id" strands, mostly `mu`/`h`, some after a `sigma` layer."""
+    width = rng.randint(2, 6)
+    texts = []
+    while len(texts) < layers:
+        if width > 1 and rng.random() < 0.3:
+            image = list(range(1, width + 1))
+            rng.shuffle(image)
+            texts.append("sigma[" + ",".join(map(str, image)) + "]")
+        r = rng.random()
+        if r < 0.45 and width >= 2:
+            atom, k, m = f"mu({_rational(rng)})", 2, 1
+        elif r < 0.8:
+            atom, k, m = f"h({_rational(rng)})", 1, 1
+        elif r < 0.92 and width < 12:
+            atom, k, m = "delta", 1, 2
+        elif width >= 2:
+            atom, k, m = "eps", 1, 0
+        else:
+            atom, k, m = "id", 1, 1
+        cut = rng.randint(0, width - k)
+        texts.append(" | ".join(["id"] * cut + [atom] + ["id"] * (width - k - cut)))
+        width += m - k
+    return " ; ".join(texts)
+
+
+def test_parse_matches_the_oracle_on_pool_shaped_terms():
+    """100-130 layers with a `mu` or `h` parameter on most of them, each
+    term also once with one token swapped, deleted or duplicated."""
+    rng = random.Random(44)
+    mutated = Counter()
+    for _ in range(100):
+        text = _pool_shaped_term(rng, rng.randint(100, 130))
+        assert isinstance(_assert_same_message_as_oracle(text), GraphTerm), text
+        tokens = _OLD_TOKEN.findall(text)
+        k = rng.randrange(len(tokens))
+        r = rng.random()
+        if r < 0.3:
+            k = rng.choice([j for j, tok in enumerate(tokens) if tok == "id"])
+            tokens[k] = rng.choice(["eps", "delta", "swap"])
+        elif r < 0.45:
+            k = rng.choice([j for j, tok in enumerate(tokens) if tokens[j - 1] == "("])
+            tokens[k] = rng.choice(["99999", "9" * 5000])
+        elif r < 0.7:
+            del tokens[k]
+        else:
+            tokens.insert(k, tokens[k])
+        outcome = _assert_same_message_as_oracle(" ".join(tokens))
+        mutated[outcome[0].__name__ if isinstance(outcome, tuple) else "parsed"] += 1
+    assert min(mutated[k] for k in ("ParseError", "CompositionError", "GraphError")) >= 5, mutated
