@@ -4,19 +4,20 @@ simplicial chains.
 Basis elements in biarity (n, m) and degree k are the nondegenerate
 combinatorial types with k more strands than outputs (weights forgotten).
 A formal sum is a frozenset of types; addition is symmetric difference.
+Cells compose by the interval cuts of the surjection operad (`_cut`); the
+class of a term labels each strand by the edge it runs on, and each
+vertex cuts only the strands it reads.
 
 The action on chains of a standard simplex splits each input face into
 consecutive overlapping pieces (the iterated diagonal), routes the pieces
 by the assignment, and joins each output's pieces into the face spanned
 by their union, zero whenever two pieces share a vertex (the interval-cut
-formulas of McClure-Smith).  `act_type` enumerates the cut points by a
-depth-first search on an explicit stack and abandons a partial placement
-at the first shared vertex, so the overlapping combinations are never
-built; each complete placement reads its faces from a per-call table of
-label tuples indexed by vertex mask.  `cup_i` computes the
-cut pattern of the cup-i cell once per call, on (0, ..., n), and relabels
-it through each n-simplex (following Medina-Mardones' treatment of cup-i
-products as index patterns on a simplex).
+formulas of McClure-Smith); `act_type` places the cut points by a
+depth-first search that abandons a placement at its first shared vertex.
+`cup_i` computes the cut pattern of the cup-i cell once per call, on
+(0, ..., n), and relabels it through each n-simplex (following
+Medina-Mardones' treatment of cup-i products as index patterns on a
+simplex).
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from operator import and_
 
 from .complexes import cochain_degree, is_cocycle, pick_faces
 from .errors import CompositionError, GraphError, InternalError
-from .graphs import NPARAMS, GraphTerm, Permutation, plan_of
-from .surjections import (SurjType, _strands_by_wire, horizontal_type, identity_type,
-                          permute_outputs_type)
+from .graphs import NPARAMS, GraphTerm, plan_of
+from .surjections import SurjType, horizontal_type, identity_type
 
 
 @dataclass(frozen=True)
@@ -115,40 +115,47 @@ def differential(x) -> ChainElement:
 
 
 # ---------------------------------------------------------------------------
-# composition of chains (interval cuts of each wire's bottom block)
+# composition of chains (interval cuts of each strand's block below)
 
-def compose_types(t1: SurjType, t2: SurjType) -> frozenset:
-    """All top cells of the composed cells, mod 2.
+def _cut(blocks, below) -> set:
+    """The cells of `blocks`, mod 2, with each strand whose label `below`
+    maps cut into a run of that label's block; other strands keep theirs.
 
-    The p strands on a wire cut the wire's bottom block of q entries into
-    consecutive runs, one per strand, and consecutive runs share one entry:
-    the p - 1 cut points are a nondecreasing choice from range(q), and each
-    strand runs from the previous cut through its own, the last one to the
-    end of the block.  A wire capped by a counit below (q = 0) leaves its
-    one strand an empty run, and has no cut points at all under two or more
-    strands: that composed cell drops dimension.  A placement whose
+    The p strands with one label take consecutive runs of its q entries,
+    neighbors sharing one entry, at p - 1 nondecreasing cut points from
+    range(q).  A counit's empty block leaves one strand an empty run, and
+    two or more none: that cell drops dimension.  A placement whose
     neighbors then coincide is degenerate and dropped.
     """
-    if t1.m != t2.n:
-        raise CompositionError(f"cannot compose ({t1.n},{t1.m}) above ({t2.n},{t2.m})")
-    wires = _strands_by_wire(t1.blocks, t1.m)
-    options = [combinations_with_replacement(range(len(below)), len(strands) - 1)
-               for strands, below in zip(wires, t2.blocks)]
-
+    strands = {}  # label -> positions (block, index) of its strands, in strand order
+    for i, blk in enumerate(blocks):
+        for u, f in enumerate(blk):
+            if f in below:
+                strands.setdefault(f, []).append((i, u))
+    options = [combinations_with_replacement(range(len(below[f])), len(on) - 1)
+               for f, on in strands.items()]
     results = set()
     for combo in product(*options):
-        pieces = [[()] * len(blk) for blk in t1.blocks]  # per top strand: (f2, ...)
-        for strands, below, cuts in zip(wires, t2.blocks, combo):
+        pieces = [[(f,) for f in blk] for blk in blocks]  # per strand: its run
+        for (f, on), cuts in zip(strands.items(), combo):
             a = 0
-            for (i, u), b in zip(strands, cuts):
-                pieces[i][u] = below[a:b + 1]
+            for (i, u), b in zip(on, cuts):
+                pieces[i][u] = below[f][a:b + 1]
                 a = b
-            i, u = strands[-1]
-            pieces[i][u] = below[a:]
-        blocks = tuple(tuple(f for strand in blk for f in strand) for blk in pieces)
-        if all(a != b for blk in blocks for a, b in zip(blk, blk[1:])):
-            results ^= {SurjType(t1.n, t2.m, blocks)}
-    return frozenset(results)
+            i, u = on[-1]
+            pieces[i][u] = below[f][a:]
+        cell = tuple(tuple(f for strand in blk for f in strand) for blk in pieces)
+        if all(a != b for blk in cell for a, b in zip(blk, blk[1:])):
+            results ^= {cell}
+    return results
+
+
+def compose_types(t1: SurjType, t2: SurjType) -> frozenset:
+    """All top cells of t1 above t2, mod 2: t1's strands cut t2's blocks (`_cut`)."""
+    if t1.m != t2.n:
+        raise CompositionError(f"cannot compose ({t1.n},{t1.m}) above ({t2.n},{t2.m})")
+    return frozenset(SurjType(t1.n, t2.m, blocks)
+                     for blocks in _cut(t1.blocks, dict(enumerate(t2.blocks, 1))))
 
 
 def chain_compose(x: ChainElement, y: ChainElement) -> ChainElement:
@@ -166,13 +173,7 @@ def horizontal_chain(x: ChainElement, y: ChainElement) -> ChainElement:
     return ChainElement(x.n + y.n, x.m + y.m, x.degree + y.degree, support)
 
 
-def permute_outputs_chain(x: ChainElement, tau: Permutation) -> ChainElement:
-    return ChainElement(x.n, x.m, x.degree,
-                        frozenset(permute_outputs_type(t, tau) for t in x.support))
-
-
-_GEN_TYPES = {"eps": eps_type, "delta": delta_type, "mu": mu_type,
-              "id": lambda: identity_type(1)}
+_GEN_TYPES = {"eps": eps_type(), "delta": delta_type(), "mu": mu_type(), "id": identity_type(1)}
 
 
 def chain_eval(g: GraphTerm) -> ChainElement:
@@ -180,30 +181,27 @@ def chain_eval(g: GraphTerm) -> ChainElement:
     contributes its whole generating cell, and the counit homotopy is sent
     to zero (its image cell is degenerate).
 
-    Each vertex acts through its generating cell positioned over the
-    current wires: a wire the vertex does not read keeps its strand,
-    numbered among the kept wires, and each input of the vertex carries the
-    generator's block, numbered after them.
+    Each strand is labelled by the edge it runs on, named by its target
+    endpoint.  A vertex cuts the strands on its input edges into its
+    generating cell's blocks, relabelled by its output edges (`_cut`); every
+    other strand keeps its label, so each ends on an output port's edge.
     """
     plan = plan_of(g)
     degree = sum(NPARAMS[v.kind] for v in g.vertices)
     if any(v.kind == "phi" for v in g.vertices):
         return ChainElement.zero(g.n, g.m, degree)
 
-    wires = [plan.tgt[("in", i)] for i in range(g.n)]  # edge ids = dst endpoints
-    state = ChainElement.of(identity_type(g.n))
+    cells = {tuple((plan.tgt[("in", i)],) for i in range(g.n))}
     for v in plan.order:
-        gen = _GEN_TYPES[g.vertices[v].kind]()
-        ins = {("vi", v, k): blk for k, blk in enumerate(gen.blocks)}
-        kept = [wb for wb in wires if wb not in ins]
-        rank = {wb: j for j, wb in enumerate(kept, 1)}
-        blocks = tuple((rank[wb],) if wb in rank else tuple(f + len(kept) for f in ins[wb])
-                       for wb in wires)
-        state = chain_compose(state, ChainElement.of(
-            SurjType(len(wires), len(kept) + gen.m, blocks)))
-        wires = kept + [plan.tgt[("vo", v, k)] for k in range(gen.m)]
-
-    return permute_outputs_chain(state, Permutation(tuple(dst[1] + 1 for dst in wires)))
+        below = {("vi", v, k): tuple(plan.tgt[("vo", v, f - 1)] for f in blk)
+                 for k, blk in enumerate(_GEN_TYPES[g.vertices[v].kind].blocks)}
+        cut = set()
+        for cell in cells:
+            cut ^= _cut(cell, below)
+        cells = cut
+    return ChainElement(g.n, g.m, degree, frozenset(
+        SurjType(g.n, g.m, tuple(tuple(dst[1] + 1 for dst in blk) for blk in cell))
+        for cell in cells))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import CompositionError, GraphError, InternalError
+from .errors import CompositionError, GraphError, InternalError, ParseError
 
 # biarity (inputs, outputs) and parameter count of each vertex decoration;
 # "id" only occurs as a unit decoration that absorb_equivalences removes
@@ -241,8 +241,9 @@ def validate(g: GraphTerm) -> list:
                        and any(type(x) is not int for x in ep[1:])]
             if missing:
                 problems.append(f"unwired {what}: {sorted(missing)}")
-            if extra:
-                problems.append(f"bad slot arity, unexpected {what}: {sorted(extra)}")
+            if extra:  # of any types: `sorted` must not compare an int with a str
+                problems.append(f"bad slot arity, unexpected {what}: "
+                                f"{sorted(extra, key=_endpoint_order)}")
             if not_int:
                 problems.append(f"non-int index in {what}: {sorted(not_int)}")
         return problems
@@ -255,6 +256,12 @@ def validate(g: GraphTerm) -> list:
             return [str(exc)]
     object.__setattr__(g, "_plan", Plan(MappingProxyType(src), MappingProxyType(tgt), order))
     return []
+
+
+def _endpoint_order(ep):
+    """Sort key of an endpoint: the tuple order among int-indexed endpoints,
+    and indices of different types ordered by type name, never compared."""
+    return [(type(x).__name__, x) for x in ep]
 
 
 def require_valid(g: GraphTerm):
@@ -547,11 +554,34 @@ def _endpoint_to_json(ep):
 
 
 def _endpoint_from_json(obj):
-    if obj[0] == "in":
-        return ("in", obj[1] - 1)
-    if obj[0] == "out":
-        return ("out", obj[1] - 1)
-    return ("vi" if obj[2] == "in" else "vo", obj[1], obj[3] - 1)
+    """The endpoint that ["in" or "out", port] or ["v", vertex, "in" or
+    "out", slot] names, ports and slots counted from 1.  Any number passes
+    as a port or slot and any scalar as a vertex, so that `validate` names
+    a well-formed endpoint that is not a slot of the term."""
+    if (isinstance(obj, list) and len(obj) == 2 and obj[0] in ("in", "out")
+            and type(obj[1]) in (int, float)):
+        return (obj[0], obj[1] - 1)
+    if (isinstance(obj, list) and len(obj) == 4 and obj[0] == "v"
+            and not isinstance(obj[1], (list, dict)) and obj[2] in ("in", "out")
+            and type(obj[3]) in (int, float)):
+        return ("vi" if obj[2] == "in" else "vo", obj[1], obj[3] - 1)
+    raise ParseError(f"graph term: endpoint {json.dumps(obj)} is not "
+                     '["in" or "out", port] or ["v", vertex, "in" or "out", slot]')
+
+
+def _vertex_from_json(obj):
+    """The vertex that {"kind": kind, "params": [fraction string, ...]} names."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("kind"), str)
+            and isinstance(obj.get("params"), list)
+            and all(isinstance(p, str) for p in obj["params"])):
+        raise ParseError(f"graph term: vertex {json.dumps(obj)} is not "
+                         "a kind with a list of parameter strings")
+    try:
+        params = tuple(Fraction(p) for p in obj["params"])
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"graph term: a parameter of vertex {json.dumps(obj)} "
+                         "is not a fraction") from None
+    return Vertex(obj["kind"], params)
 
 
 def to_json(g: GraphTerm) -> str:
@@ -567,12 +597,29 @@ def to_json(g: GraphTerm) -> str:
 
 
 def from_json(text: str) -> GraphTerm:
-    doc = json.loads(text)
-    vertices = tuple(Vertex(v["kind"], tuple(Fraction(p) for p in v["params"]))
-                     for v in doc["vertices"])
-    edges = frozenset((_endpoint_from_json(s), _endpoint_from_json(d))
-                      for s, d in doc["edges"])
-    return require_valid(GraphTerm(doc["inputs"], doc["outputs"], vertices, edges))
+    """Read a term in the format `to_json` writes.
+
+    The document is checked here, where it enters: text that is not JSON,
+    a missing or mistyped key, or a vertex, edge or endpoint not in that
+    format raises ParseError, and a well-formed document whose term is not
+    valid raises GraphError.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also a number past the int digit limit
+        raise ParseError(f"graph term: not JSON ({exc})") from None
+    if not (isinstance(doc, dict)
+            and all(type(doc.get(key)) is int and doc[key] >= 0 for key in ("inputs", "outputs"))
+            and all(isinstance(doc.get(key), list) for key in ("vertices", "edges"))):
+        raise ParseError('graph term: expected an object with nonnegative int "inputs" and '
+                         '"outputs" and "vertices" and "edges" lists')
+    vertices = tuple(map(_vertex_from_json, doc["vertices"]))
+    edges = set()
+    for edge in doc["edges"]:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise ParseError(f"graph term: edge {json.dumps(edge)} is not a [source, target] pair")
+        edges.add(tuple(map(_endpoint_from_json, edge)))
+    return require_valid(GraphTerm(doc["inputs"], doc["outputs"], vertices, frozenset(edges)))
 
 
 _DOT_SHAPE = {"eps": "point", "delta": "triangle", "mu": "invtriangle",

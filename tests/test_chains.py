@@ -12,14 +12,13 @@ from propcalc.chains import (ChainElement, act, act_type, chain_compose,
                              cup_i, cup_type, delta_type, differential,
                              diff_type, eps_type,
                              face_boundary, horizontal_chain, identity_type,
-                             mu_type, permute_outputs_chain,
-                             tensor_boundary)
+                             mu_type, tensor_boundary)
 from propcalc.complexes import SimplicialComplex, _rref, circle, coboundary, rp2
 from propcalc.errors import CompositionError, GraphError
 from propcalc.graphs import NPARAMS, GraphTerm, Permutation, Vertex, plan_of
 from propcalc.surjections import (SurjType, enumerate_basis, expand_graph, normalize,
-                                  permute_inputs_type, random_stype, random_sterm,
-                                  uniform_weights)
+                                  permute_inputs_type, permute_outputs_type, random_stype,
+                                  random_sterm, uniform_weights)
 from propcalc.terms import parse
 
 
@@ -50,6 +49,11 @@ def differential_via_graphs(t: SurjType) -> ChainElement:
 def permute_inputs_chain(x: ChainElement, sigma: Permutation) -> ChainElement:
     return ChainElement(x.n, x.m, x.degree,
                         frozenset(permute_inputs_type(t, sigma) for t in x.support))
+
+
+def permute_outputs_chain(x: ChainElement, tau: Permutation) -> ChainElement:
+    return ChainElement(x.n, x.m, x.degree,
+                        frozenset(permute_outputs_type(t, tau) for t in x.support))
 
 
 def splittings(face, r):
@@ -637,8 +641,10 @@ def test_chain_eval_matches_the_capping_oracle_on_terms_with_counits(monkeypatch
         if any(v.kind == "eps" for v in g.vertices):
             terms.append(g)
     new = [chain_eval(g) for g in terms]
+    # chain_eval cuts strands itself; the permutation-layer route composes
+    # through chain_compose, which reads the patched compose_types
     monkeypatch.setattr(chains, "compose_types", _old_compose_types)
-    assert new == [chain_eval(g) for g in terms]
+    assert new == [_old_chain_eval(g) for g in terms]
     assert sum(not x.is_zero() for x in new) > 300
 
 
@@ -699,6 +705,66 @@ def test_chain_eval_matches_the_permutation_layer_route():
     assert new == [_old_chain_eval(g) for g in terms]
     assert sum(not x.is_zero() for x in new) > 300
     assert sum(not x.is_zero() for x in new[1000:]) > 100
+
+
+def _delta_layers(layers):
+    """`delta ; (delta | delta) ; ...`, a (1, 2^layers) term."""
+    return parse(" ; ".join(" | ".join(["delta"] * 2 ** k) for k in range(layers)))
+
+
+def test_chain_eval_matches_the_permutation_layer_route_on_layers_of_deltas():
+    for layers in range(1, 8):
+        g = _delta_layers(layers)
+        x = chain_eval(g)
+        assert x == _old_chain_eval(g)
+        assert x.support == {SurjType(1, 2 ** layers, (tuple(range(1, 2 ** layers + 1)),))}
+
+
+_LAYER_ATOMS = {"delta": (1, 2), "mu": (2, 1), "eps": (1, 0), "id": (1, 1), "swap": (2, 2)}
+
+
+def _layered_term(rng):
+    """A term of 20-60 vertices on 1-3 inputs, one layer at a time over the
+    current width.  Deltas, swaps and ids are drawn far more often than
+    products and counits, which make most cells degenerate, and a counit
+    never takes the last strand."""
+    width = rng.randint(1, 3)
+    target = rng.randint(20, 60)
+    layers, vertices = [], 0
+    while vertices < target:
+        atoms, read, out = [], 0, width
+        while read < width:
+            kind, = rng.choices(list(_LAYER_ATOMS), (30, 1, 3, 10, 15))
+            a, b = _LAYER_ATOMS[kind]
+            if a > width - read or a != b and vertices == target or kind == "eps" and out == 1:
+                kind, a, b = "id", 1, 1
+            atoms.append(f"mu({rng.randint(0, 16)}/16)" if kind == "mu" else kind)
+            read += a
+            out += b - a
+            vertices += kind in ("delta", "mu", "eps")
+        layers.append(" | ".join(atoms))
+        width = out
+    return parse(" ; ".join(layers))
+
+
+def test_chain_eval_matches_the_permutation_layer_route_on_deep_layered_terms():
+    rng = random.Random(57)
+    terms = [_layered_term(rng) for _ in range(300)]
+    assert all(20 <= len(g.vertices) <= 60 and 1 <= g.n <= 3 for g in terms)
+    new = [chain_eval(g) for g in terms]
+    assert new == [_old_chain_eval(g) for g in terms]
+    assert sum(not x.is_zero() for x in new) >= 100
+    assert sum(not x.is_zero() and x.degree > 0 for x in new) >= 30
+
+
+def test_chain_eval_of_a_vertex_free_term_is_its_permutation():
+    g = parse("sigma[3,1,4,2] ; (swap | id | id) ; tau[2,4,1,3]")
+    assert not g.vertices
+    x = chain_eval(g)
+    assert x == _old_chain_eval(g)
+    # input i goes to output image[i]: 1 -> 3 -> 3 -> 1, 2 -> 1 -> 2 -> 4,
+    # 3 -> 4 -> 4 -> 3 and 4 -> 2 -> 1 -> 2
+    assert x.support == {SurjType(4, 4, ((1,), (4,), (3,), (2,)))}
 
 
 def test_biarity_guards_name_the_problem():

@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from propcalc.errors import CompositionError, GraphError, InternalError
+from propcalc.errors import CompositionError, GraphError, InternalError, ParseError
 from propcalc.graphs import (GraphTerm, Permutation, Plan, Vertex, Wiring, _kahn,
                              absorb_equivalences, canonical_form, from_json,
                              horizontal_compose, iso_equal, permutation_graph,
@@ -529,3 +529,82 @@ def test_from_json_rejects_float_indices():
     doc["edges"][-1][1][1] = 2.0
     with pytest.raises(GraphError, match=re.escape("non-int index in targets: [('out', 1.0)]")):
         from_json(json.dumps(doc))
+
+
+def test_validate_orders_unexpected_endpoints_of_mixed_index_types():
+    doc = json.loads(to_json(corolla("delta")))
+    doc["edges"][0][1] = ["v", "a", "in", 1]
+    doc["edges"][1][1] = ["v", 0, "in", 3]
+    with pytest.raises(GraphError) as info:
+        from_json(json.dumps(doc))
+    assert str(info.value) == ("unwired targets: [('out', 0), ('vi', 0, 0)]; bad slot arity, "
+                               "unexpected targets: [('vi', 0, 2), ('vi', 'a', 0)]")
+
+
+_ENDPOINT_FORMAT = '["in" or "out", port] or ["v", vertex, "in" or "out", slot]'
+_DOC_KEYS = ('expected an object with nonnegative int "inputs" and "outputs" '
+             'and "vertices" and "edges" lists')
+
+
+def _edited(edit):
+    doc = json.loads(to_json(corolla("delta")))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "not JSON (Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1))"),
+    ("[]", _DOC_KEYS),
+    (_edited(lambda d: d.pop("vertices")), _DOC_KEYS),
+    (_edited(lambda d: d.pop("edges")), _DOC_KEYS),
+    (_edited(lambda d: d.update(inputs="1")), _DOC_KEYS),
+    (_edited(lambda d: d.update(outputs=-1)), _DOC_KEYS),
+    (_edited(lambda d: d.update(inputs=True)), _DOC_KEYS),
+    (_edited(lambda d: d["vertices"][0].pop("params")),
+     'vertex {"kind": "delta"} is not a kind with a list of parameter strings'),
+    (_edited(lambda d: d["vertices"][0].update(kind=["delta"])),
+     'vertex {"kind": ["delta"], "params": []} is not a kind with a list of parameter strings'),
+    (_edited(lambda d: d["vertices"].append({"kind": "mu", "params": [0.5]})),
+     'vertex {"kind": "mu", "params": [0.5]} is not a kind with a list of parameter strings'),
+    (_edited(lambda d: d["vertices"].append({"kind": "mu", "params": ["1/0"]})),
+     'a parameter of vertex {"kind": "mu", "params": ["1/0"]} is not a fraction'),
+    (_edited(lambda d: d["vertices"].append({"kind": "mu", "params": ["half"]})),
+     'a parameter of vertex {"kind": "mu", "params": ["half"]} is not a fraction'),
+    (_edited(lambda d: d["edges"].append([["in", 1]])),
+     'edge [["in", 1]] is not a [source, target] pair'),
+    (_edited(lambda d: d["edges"][0].__setitem__(0, ["v", 0])),
+     f'endpoint ["v", 0] is not {_ENDPOINT_FORMAT}'),
+    (_edited(lambda d: d["edges"][0].__setitem__(0, ["x", 0])),
+     f'endpoint ["x", 0] is not {_ENDPOINT_FORMAT}'),
+    (_edited(lambda d: d["edges"][0].__setitem__(0, ["in", "1"])),
+     f'endpoint ["in", "1"] is not {_ENDPOINT_FORMAT}'),
+    (_edited(lambda d: d["edges"][0].__setitem__(0, ["in", True])),
+     f'endpoint ["in", true] is not {_ENDPOINT_FORMAT}'),
+    (_edited(lambda d: d["edges"][0].__setitem__(1, ["v", [0], "in", 1])),
+     f'endpoint ["v", [0], "in", 1] is not {_ENDPOINT_FORMAT}'),
+    (_edited(lambda d: d["edges"][0].__setitem__(1, ["v", 0, "up", 1])),
+     f'endpoint ["v", 0, "up", 1] is not {_ENDPOINT_FORMAT}'),
+    (_edited(lambda d: d["edges"][0].__setitem__(1, "out")),
+     f'endpoint "out" is not {_ENDPOINT_FORMAT}'),
+], ids=["not-json", "not-object", "no-vertices", "no-edges", "str-inputs", "negative-outputs",
+        "bool-inputs", "no-params", "list-kind", "float-param", "zero-denominator",
+        "word-param", "short-edge", "short-endpoint", "bad-tag", "str-port", "bool-port",
+        "list-vertex", "bad-side", "bare-tag"])
+def test_from_json_names_a_malformed_document(text, message):
+    with pytest.raises(ParseError) as info:
+        from_json(text)
+    assert str(info.value) == "graph term: " + message
+
+
+def test_from_json_keeps_graph_errors_for_well_formed_documents():
+    with pytest.raises(GraphError) as info:
+        from_json(_edited(lambda d: d["vertices"][0].update(kind="foo")))
+    assert str(info.value) == "unknown vertex kind 'foo'"
+    with pytest.raises(GraphError) as info:
+        from_json(_edited(lambda d: d.update(inputs=2)))
+    assert str(info.value) == "unwired sources: [('in', 1)]"
+    with pytest.raises(GraphError) as info:
+        from_json(_edited(lambda d: d["edges"][0].__setitem__(1, ["v", None, "in", 1.5])))
+    assert str(info.value) == ("unwired targets: [('vi', 0, 0)]; bad slot arity, "
+                               "unexpected targets: [('vi', None, 0.5)]")
