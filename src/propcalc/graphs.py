@@ -205,10 +205,13 @@ def validate(g: GraphTerm) -> list:
     Only a term that fails that pass has its expected slots built, to name
     what is wrong.  When every edge between vertices runs to a higher
     index, as in every parsed term, the default order is the index order
-    and is stored without running the heap.
+    and is stored without running the heap.  A negative n or m is refused
+    first: it has no slots to name, and it can balance the counts.
     """
     if g._plan is not None:
         return []
+    if g.n < 0 or g.m < 0:
+        return [f"term arity ({g.n}, {g.m}) must be nonnegative"]
     src = {}
     for s, dst in g.edges:
         if dst in src:
@@ -596,18 +599,33 @@ def to_json(g: GraphTerm) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _read_json(text, what):
+    """The JSON document `text` for the reader of a `what`: text that is not
+    JSON, or an object that gives a key twice, raises ParseError."""
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"{what}: key {key!r} given twice")
+            doc[key] = value
+        return doc
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # also a number past the int digit limit
+        raise ParseError(f"{what}: not JSON ({exc})") from None
+
+
 def from_json(text: str) -> GraphTerm:
     """Read a term in the format `to_json` writes.
 
     The document is checked here, where it enters: text that is not JSON,
-    a missing or mistyped key, or a vertex, edge or endpoint not in that
-    format raises ParseError, and a well-formed document whose term is not
-    valid raises GraphError.
+    a key given twice in one object, a missing or mistyped key, or a
+    vertex, edge or endpoint not in that format raises ParseError, and a
+    well-formed document whose term is not valid raises GraphError.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also a number past the int digit limit
-        raise ParseError(f"graph term: not JSON ({exc})") from None
+    doc = _read_json(text, "graph term")
     if not (isinstance(doc, dict)
             and all(type(doc.get(key)) is int and doc[key] >= 0 for key in ("inputs", "outputs"))
             and all(isinstance(doc.get(key), list) for key in ("vertices", "edges"))):

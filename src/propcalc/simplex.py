@@ -21,9 +21,11 @@ Fraction only for a slope or intercept it stores.  The program keeps every
 map once, as integer knots over the lcm D of their denominators and one
 exact (slope, intercept) pair per segment.  Evaluating is one bisection of
 floor(x*D) among the integer knots, which picks the same segment as x
-among the exact knots, and at most one exact a*x + b per coordinate for
-each mix side and each output; a float coordinate is mapped exactly at
-its binary value and rounded once, so it never leaves [0,1] by rounding.
+among the exact knots, at most one exact a*x + b per coordinate for each
+mix side and each output, and one sum per coordinate of a mix.  Each is
+integer work on the numerators and denominators at hand, and each value
+it makes is one Fraction.  A float coordinate is mapped exactly at its
+binary value and rounded once, so it never leaves [0,1] by rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, or_
+from operator import or_
 from typing import NamedTuple
 
 from .errors import GraphError, ParseError
@@ -118,9 +120,20 @@ def parse_point(text: str) -> SimplexPoint:
     return SimplexPoint(tuple(coords))
 
 
+# random_point's shared k/denom Fractions, one tuple per int denominator of
+# at most _GRID_MAX, built on first use: at most about _GRID_MAX**2/2 of them
+_GRID_MAX = 64
+_GRIDS = {}
+
+
 def random_point(rng, d, denom=64) -> SimplexPoint:
     ints = sorted(rng.randint(0, denom) for _ in range(d))
-    return SimplexPoint(tuple(Fraction(k, denom) for k in ints))
+    if not (type(denom) is int and 0 < denom <= _GRID_MAX):
+        return SimplexPoint(tuple(Fraction(k, denom) for k in ints))
+    grid = _GRIDS.get(denom)
+    if grid is None:
+        grid = _GRIDS[denom] = tuple(Fraction(k, denom) for k in range(denom + 1))
+    return SimplexPoint(tuple(map(grid.__getitem__, ints)))
 
 
 # interval-level formulas
@@ -187,7 +200,7 @@ def eval_term(g: GraphTerm, points, d=None):
             raise GraphError("product needs points of equal dimension")
     values, floats = [], []  # per base: exact coordinates, and which were floats
     for p in points:
-        if any(type(x) is float for x in p.coords):
+        if float in map(type, p.coords):
             # exact at a float's binary value: a*x + b in floats cancels
             # badly on steep segments and can leave [0,1]
             values.append(tuple(Fraction(x) if type(x) is float else x for x in p.coords))
@@ -196,7 +209,10 @@ def eval_term(g: GraphTerm, points, d=None):
             values.append(p.coords)
             floats.append(None)
     for (a, f), (b, h) in program.mixes:
-        values.append(tuple(map(add, _apply(f, values[a]), _apply(h, values[b]))))
+        # both sides are Fractions: f and h are never the identity
+        values.append(tuple(Fraction(x._numerator * y._denominator + y._numerator * x._denominator,
+                                     x._denominator * y._denominator)
+                            for x, y in zip(_apply(f, values[a]), _apply(h, values[b]))))
         fa, fb = floats[a], floats[b]
         floats.append(fb if fa is None else fa if fb is None else tuple(map(or_, fa, fb)))
     outs = []
@@ -374,11 +390,23 @@ def _apply(f, xs):
     scale, knots, segments = f
     out = []
     for x in xs:
-        # the knots are integers, so K <= x*D exactly when K <= floor(x*D)
-        a, b = segments[bisect_right(knots, x.numerator * scale // x.denominator)]
-        # a constant segment, or one through 0, is marked None and needs one
-        # Fraction operation or none
-        out.append(b if a is None else a * x if b is None else a * x + b)
+        # x = n/d, read off a Fraction's own integers; the knots are
+        # integers, so K <= x*D exactly when K <= floor(x*D)
+        if type(x) is Fraction:
+            n, d = x._numerator, x._denominator
+        else:
+            n, d = x.numerator, x.denominator
+        a, b = segments[bisect_right(knots, n * scale // d)]
+        # a constant segment, or one through 0, is marked None; otherwise
+        # a*x + b is one Fraction built from the integers of a, x and b
+        if a is None:
+            out.append(b)
+        elif b is None:
+            out.append(Fraction(a._numerator * n, a._denominator * d))
+        else:
+            q = a._denominator * d
+            out.append(Fraction(a._numerator * n * b._denominator + b._numerator * q,
+                                q * b._denominator))
     return out
 
 
@@ -465,6 +493,9 @@ def face_action(kind, faces):
 # ---------------------------------------------------------------------------
 # coface / codegeneracy maps and the checkers
 
+_ZERO_COORD, _ONE_COORD = Fraction(0), Fraction(1)
+
+
 def coface(p: SimplexPoint, i) -> SimplexPoint:
     """delta_i into one dimension up: prepend 0, double x_i, or append 1."""
     d = p.d
@@ -472,9 +503,9 @@ def coface(p: SimplexPoint, i) -> SimplexPoint:
         raise GraphError(f"coface index {i} outside 0..{d + 1}")
     xs = p.coords
     if i == 0:
-        return SimplexPoint((Fraction(0),) + xs)
+        return SimplexPoint((_ZERO_COORD,) + xs)
     if i == d + 1:
-        return SimplexPoint(xs + (Fraction(1),))
+        return SimplexPoint(xs + (_ONE_COORD,))
     return SimplexPoint(xs[:i] + (xs[i - 1],) + xs[i:])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
 from .errors import GraphError, ParseError
-from .graphs import GraphTerm
+from .graphs import GraphTerm, _read_json
 from .simplex import SimplexPoint, codegeneracy, coface, eval_term
 
 
@@ -103,16 +103,6 @@ class SimplicialSet:
         return FormalCell(tuple(word), fc.base)
 
 
-def _unique_keys(pairs):
-    """A JSON object as a dict, refusing a key given twice."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ParseError(f"simplicial set: key {key!r} given twice")
-        doc[key] = value
-    return doc
-
-
 def sset_from_json(text) -> SimplicialSet:
     """Load a finitely presented simplicial set.
 
@@ -128,10 +118,7 @@ def sset_from_json(text) -> SimplicialSet:
     A malformed document raises ParseError, and one that is well formed
     but not a simplicial set raises GraphError.
     """
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also a number past the int digit limit
-        raise ParseError(f"simplicial set: not JSON ({exc})") from None
+    doc = _read_json(text, "simplicial set")
     if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ParseError('simplicial set: expected an object with a "cells" list')
     listed = doc.get("faces", {})

@@ -13,7 +13,8 @@ from propcalc.graphs import (GraphTerm, Permutation, Plan, Vertex, Wiring, _kahn
                              absorb_equivalences, canonical_form, from_json,
                              horizontal_compose, iso_equal, permutation_graph,
                              permute_inputs, permute_outputs, to_dot, to_json,
-                             topological_order, unit, validate, vertical_compose)
+                             require_valid, topological_order, unit, validate,
+                             vertical_compose)
 from propcalc.chains import chain_eval
 from propcalc.generators import corolla
 from propcalc.simplex import eval_term, parse_point
@@ -608,3 +609,32 @@ def test_from_json_keeps_graph_errors_for_well_formed_documents():
         from_json(_edited(lambda d: d["edges"][0].__setitem__(1, ["v", None, "in", 1.5])))
     assert str(info.value) == ("unwired targets: [('vi', 0, 0)]; bad slot arity, "
                                "unexpected targets: [('vi', None, 0.5)]")
+
+
+@pytest.mark.parametrize("g", [
+    GraphTerm(-1, 0, (), frozenset()),
+    # m = -1 balances the counts against the unwired input of the counit
+    GraphTerm(0, -1, (Vertex("eps"),), frozenset()),
+    GraphTerm(-2, -3, (), frozenset({(("in", 0), ("out", 0))})),
+], ids=["inputs", "outputs", "both"])
+def test_validate_refuses_a_negative_arity(g):
+    message = f"term arity ({g.n}, {g.m}) must be nonnegative"
+    assert validate(g) == [message] and g._plan is None
+    for reader in (require_valid, chain_eval, lambda g: eval_term(g, ())):
+        with pytest.raises(GraphError) as info:
+            reader(g)
+        assert str(info.value) == message
+    assert g._plan is None and g._maps is None
+
+
+def test_from_json_refuses_a_key_given_twice():
+    text = to_json(corolla("delta"))
+    assert text.count('"inputs": 1,') == 1
+    with pytest.raises(ParseError) as info:
+        from_json(text.replace('"inputs": 1,', '"inputs": 3,\n  "inputs": 1,'))
+    assert str(info.value) == "graph term: key 'inputs' given twice"
+    # in a nested object too
+    with pytest.raises(ParseError) as info:
+        from_json(text.replace('"params": []', '"params": [],\n      "kind": "eps"'))
+    assert str(info.value) == "graph term: key 'kind' given twice"
+    assert from_json(text) == corolla("delta")

@@ -2,9 +2,12 @@ import math
 import pickle
 import random
 import re
+import time
+import tracemalloc
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction, Fraction as F
+from operator import add, or_
 
 import pytest
 from hypothesis import given, settings
@@ -813,3 +816,140 @@ def test_naturality_reports_a_corrupted_evaluator(monkeypatch):
     for op, index in (("delta", 0), ("sigma", 1)):
         bad = check_naturality(g, op, index, 1, 10, random.Random(79))
         assert len(bad) == 10
+
+
+# --- oracles: the evaluation route before the segment lookup read each
+# coordinate's integers, kept as it was ------------------------------------
+
+def _oracle_random_point(rng, d, denom=64) -> SimplexPoint:
+    ints = sorted(rng.randint(0, denom) for _ in range(d))
+    return SimplexPoint(tuple(Fraction(k, denom) for k in ints))
+
+
+def _oracle_apply(f, xs):
+    """The map f, in integer form, at each exact coordinate of xs."""
+    if f is simplex._INT_IDENTITY:
+        return xs
+    scale, knots, segments = f
+    out = []
+    for x in xs:
+        # the knots are integers, so K <= x*D exactly when K <= floor(x*D)
+        a, b = segments[bisect_right(knots, x.numerator * scale // x.denominator)]
+        # a constant segment, or one through 0, is marked None and needs one
+        # Fraction operation or none
+        out.append(b if a is None else a * x if b is None else a * x + b)
+    return out
+
+
+def _oracle_eval_term(g: GraphTerm, points, d=None):
+    """Evaluate a term on one point per input; returns the output tuple.
+
+    The term runs as its compiled `Program`, built on its first evaluation.
+    """
+    plan = plan_of(g)
+    points = _inputs(g, points, d)
+    program = g._maps if g._maps is not None else simplex._compile(g, plan)
+    for i, j in program.joins:
+        if points[i].d != points[j].d:
+            raise GraphError("product needs points of equal dimension")
+    values, floats = [], []  # per base: exact coordinates, and which were floats
+    for p in points:
+        if any(type(x) is float for x in p.coords):
+            # exact at a float's binary value: a*x + b in floats cancels
+            # badly on steep segments and can leave [0,1]
+            values.append(tuple(Fraction(x) if type(x) is float else x for x in p.coords))
+            floats.append(tuple(type(x) is float for x in p.coords))
+        else:
+            values.append(p.coords)
+            floats.append(None)
+    for (a, f), (b, h) in program.mixes:
+        values.append(tuple(map(add, _oracle_apply(f, values[a]), _oracle_apply(h, values[b]))))
+        fa, fb = floats[a], floats[b]
+        floats.append(fb if fa is None else fa if fb is None else tuple(map(or_, fa, fb)))
+    outs = []
+    for base, f in program.outputs:
+        coords = _oracle_apply(f, values[base])
+        if floats[base] is not None:
+            coords = [float(y) if r else y for y, r in zip(coords, floats[base])]
+        outs.append(SimplexPoint(tuple(coords)))
+    return tuple(outs)
+
+
+def _typed(points):
+    """Each coordinate of each point with its type: 1/2 and 0.5 differ."""
+    return [[(type(x), x) for x in p.coords] for p in points]
+
+
+def test_eval_term_matches_the_oracle_route_on_every_coordinate_type():
+    """Fraction, int (0 and 1), float, mixed Fraction/float and mixed
+    Fraction/int points, on 300 seeded terms of 20-60 vertices and 200 of
+    1-19, whose maps are less often constant near 0 and 1."""
+    rng = random.Random(725)
+    routes = {"fraction": 0, "int": 0, "float": 0, "mixed": 0, "mixed-int": 0, "special": 0}
+    mixes = 0
+    for k in range(500):
+        g = _random_term(rng, rng.randint(1, 3),
+                         rng.randint(20, 60) if k < 300 else rng.randint(1, 19))
+        d = rng.randint(0, 5)
+        exact = tuple(random_point(rng, d) for _ in range(g.n))
+        eval_term(g, exact)
+        mixes += len(g._maps.mixes)
+        cases = {
+            "fraction": exact,
+            "int": tuple(SimplexPoint(tuple(sorted(rng.randint(0, 1) for _ in range(d))))
+                         for _ in range(g.n)),
+            # k/64 is a float exactly, so either type keeps the point monotone
+            "float": tuple(SimplexPoint(tuple(map(float, p.coords))) for p in exact),
+            "mixed": tuple(SimplexPoint(tuple(float(x) if rng.random() < 0.5 else x
+                                              for x in p.coords)) for p in exact),
+            "mixed-int": tuple(SimplexPoint(tuple(int(x) if x in (0, 1) else x for x in p.coords))
+                               for p in exact),
+            "special": _special_points(rng, g, d),
+        }
+        for name, points in cases.items():
+            assert _typed(eval_term(g, points)) == _typed(_oracle_eval_term(g, points)), name
+            routes[name] += sum(len(p.coords) for p in points)
+        special_floats = tuple(SimplexPoint(tuple(map(float, p.coords))) for p in cases["special"])
+        assert _typed(eval_term(g, special_floats)) == _typed(_oracle_eval_term(g, special_floats))
+    assert mixes > 100 and all(count > 500 for count in routes.values()), (mixes, routes)
+
+
+def test_random_point_matches_the_oracle_draw_for_draw():
+    """The same points, coordinate types and generator state, for the
+    denominators that naturality and verify use and a few others."""
+    for seed in range(300):
+        for d in range(8):
+            for denom in (8, 32, 64, 1, 63, 65, 1000, 10 ** 12):
+                new, old = random.Random(seed), random.Random(seed)
+                assert _typed((random_point(new, d, denom),)) == _typed(
+                    (_oracle_random_point(old, d, denom),))
+                assert new.getstate() == old.getstate()
+    new, old = random.Random(0), random.Random(0)
+    assert random_point(new, 4) == _oracle_random_point(old, 4)
+    assert random_point(new, 0, 0) == _oracle_random_point(old, 0, 0) == SimplexPoint(())
+    with pytest.raises(ZeroDivisionError):
+        random_point(new, 1, 0)
+
+
+def test_random_point_keeps_its_memory_bounded():
+    """No table of a large denominator, and what stays behind after drawing
+    for many denominators is bounded."""
+    rng = random.Random(726)
+    tracemalloc.start()
+    try:
+        # 10**6 first: a table of it would fail the bound long before one
+        # of 10**12 could run out of memory
+        for denom in (10 ** 6, 10 ** 12):
+            tracemalloc.reset_peak()
+            start = time.perf_counter()
+            p = random_point(rng, 3, denom=denom)
+            assert time.perf_counter() - start < 1.0
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+            assert p.d == 3 and all(type(x) is F and denom % x.denominator == 0 for x in p.coords)
+        kept = tracemalloc.get_traced_memory()[0]
+        for denom in range(1, 2000):
+            for _ in range(3):
+                random_point(rng, 3, denom)
+        assert tracemalloc.get_traced_memory()[0] - kept < 2 ** 20
+    finally:
+        tracemalloc.stop()

@@ -252,3 +252,11 @@ def test_an_unknown_cell_name_is_a_graph_error():
     with pytest.raises(GraphError) as info:
         circle_sset().nondegenerate("x")
     assert str(info.value) == "unknown cell 'x'"
+
+
+def test_the_reader_refuses_a_key_given_twice_in_any_object():
+    text = _document(CIRCLE_CELLS, {"e": [[[], "pt"], [[], "pt"]]})
+    assert sset_from_json(text).cells
+    with pytest.raises(ParseError) as info:
+        sset_from_json(text.replace('{"e":', '{"e": [], "e":'))
+    assert str(info.value) == "simplicial set: key 'e' given twice"
